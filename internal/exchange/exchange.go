@@ -167,8 +167,11 @@ type state struct {
 	// maintained from the O(1) section deltas (see sections.go) so cost
 	// stays O(1) per move.
 	idCache [bga.NumSides]int
-	// sides with at least 2 slots, for move sampling.
-	sides []bga.Side
+	// sides with at least 2 slots, for move sampling, and the samplers
+	// that pick a side and a slot on it (see pickSlot).
+	sides    []bga.Side
+	sidePick intnSampler
+	slotPick [bga.NumSides]intnSampler
 	// supply[side][i] reports whether slot i currently holds a net of a
 	// watched class — kept in sync with swaps for ψ=1 move sampling.
 	isSupply [bga.NumSides][]bool
@@ -260,9 +263,10 @@ func (s *state) pickSlot(rng *rand.Rand) (bga.Side, int, bool) {
 		return 0, 0, false
 	}
 	for try := 0; try < 16; try++ {
-		side := s.sides[rng.Intn(len(s.sides))]
-		slots := s.a.Slots[side]
-		i := 1 + rng.Intn(len(slots))
+		// The samplers draw rng.Intn(len(s.sides)) and
+		// rng.Intn(len(slots)) without their divisions.
+		side := s.sides[s.sidePick.draw(rng)]
+		i := 1 + s.slotPick[side].draw(rng)
 		if s.p.Tiers == 1 && !s.isSupply[side][i-1] {
 			continue
 		}
@@ -452,6 +456,7 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 		slots := st.a.Slots[side]
 		if len(slots) >= 2 {
 			st.sides = append(st.sides, side)
+			st.slotPick[side] = newIntnSampler(len(slots))
 		}
 		match := make(map[netlist.NetClass]bool)
 		if len(opt.Classes) == 0 {
@@ -466,6 +471,9 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 			sup[i] = match[p.Circuit.Net(id).Class]
 		}
 		st.isSupply[side] = sup
+	}
+	if len(st.sides) > 0 {
+		st.sidePick = newIntnSampler(len(st.sides))
 	}
 	st.trk = newTracker(p, st.a, &st.isSupply)
 	st.proxy0 = power.ProxyForAssignment(p, initial, opt.Classes...)

@@ -88,8 +88,11 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	omegaAcc := s.trk.priceTierSwap(gi, gj)
 
 	after := s.costWith(side, idAcc, proxyAcc, omegaAcc)
-	s.pend = pendMove{side: side, i: i, j: j, gi: gi, gj: gj,
-		sec: sec, idAcc: idAcc, sup: sup, omega: omegaAcc}
+	// Written field by field: a struct literal is built on the stack
+	// and then block-copied into s.pend on every proposal.
+	pd := &s.pend
+	pd.side, pd.i, pd.j, pd.gi, pd.gj = side, i, j, gi, gj
+	pd.sec, pd.idAcc, pd.sup, pd.omega = sec, idAcc, sup, omegaAcc
 	return after - before, true
 }
 

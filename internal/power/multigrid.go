@@ -321,7 +321,7 @@ func prolong(coarse, fine *mgLevel, workers int) {
 // vcycle runs one V-cycle rooted at level l. Pre-smoothing sweeps red then
 // black; post-smoothing black then red; the coarsest level runs symmetric
 // sweep pairs — together that makes the cycle a symmetric operator, which is
-// what lets solveMGCG use it as an SPD preconditioner.
+// what lets vcyclePre serve MGCG as an SPD preconditioner.
 func vcycle(levels []*mgLevel, l, workers int) {
 	lv := levels[l]
 	if l == len(levels)-1 {
@@ -354,13 +354,10 @@ func vcycle(levels []*mgLevel, l, workers int) {
 // solveMG is the standalone multigrid driver: V-cycles until the true
 // fine-grid residual meets CG's exact criterion ‖r‖₂ ≤ Tol·‖b‖₂ (b being the
 // eliminated system's right-hand side), so "mg at the same tolerance as cg"
-// means the same mathematical statement, not two different norms. Grids that
-// cannot be coarsened fall back to plain SOR.
-func solveMG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	levels := buildHierarchy(g, isPad)
-	if len(levels) < 2 {
-		return solveSOR(ctx, g, isPad, opt)
-	}
+// means the same mathematical statement, not two different norms. levels is
+// buildHierarchy's stack, at least two deep (SolveContext sends grids that
+// cannot be coarsened to plain SOR instead).
+func solveMG(ctx context.Context, g GridSpec, isPad []bool, levels []*mgLevel, opt SolveOptions) (*Solution, error) {
 	workers := 1
 	if g.Nx*g.Ny >= parallelNodeThreshold {
 		workers = parallel.Workers(opt.Workers)
@@ -370,7 +367,7 @@ func solveMG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*
 	gx, gy := fine.gx, fine.gy
 	// b is the eliminated-system right-hand side scattered onto the full
 	// grid (zero at pads): -sink plus the Dirichlet terms of pad neighbors.
-	// Its 2-norm anchors the relative tolerance exactly as in solveCG.
+	// Its 2-norm anchors the relative tolerance exactly as in solveCGPre.
 	b := make([]float64, g.Nx*g.Ny)
 	for j := 0; j < g.Ny; j++ {
 		for i := 0; i < g.Nx; i++ {
@@ -433,18 +430,15 @@ func solveMG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*
 	return sol, nil
 }
 
-// solveMGCG is conjugate gradient with one V-cycle per iteration as the
-// preconditioner: the cycle is a symmetric positive operator (symmetric
-// smoothing order, matched Pᵀ/P transfers, zero initial correction), so CG's
-// convergence theory applies and the iteration count inherits multigrid's
-// mesh independence. Falls back to Jacobi CG when the grid cannot coarsen.
-func solveMGCG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	levels := buildHierarchy(g, isPad)
-	if len(levels) < 2 {
-		return solveCGPre(ctx, g, isPad, opt, nil)
-	}
+// vcyclePre is MGCG's preconditioner for solveCGPre: one V-cycle over
+// levels per CG iteration. The cycle is a symmetric positive operator
+// (symmetric smoothing order, matched Pᵀ/P transfers, zero initial
+// correction), so CG's convergence theory applies and the iteration count
+// inherits multigrid's mesh independence. levels is at least two deep
+// (SolveContext sends grids that cannot be coarsened to Jacobi CG).
+func vcyclePre(levels []*mgLevel) func(unknowns []int, workers int) func(r, z []float64) {
 	fine := levels[0]
-	mk := func(unknowns []int, workers int) func(r, z []float64) {
+	return func(unknowns []int, workers int) func(r, z []float64) {
 		return func(r, z []float64) {
 			for i := range fine.rhs {
 				fine.rhs[i] = 0
@@ -459,5 +453,4 @@ func solveMGCG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) 
 			}
 		}
 	}
-	return solveCGPre(ctx, g, isPad, opt, mk)
 }

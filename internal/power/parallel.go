@@ -11,17 +11,20 @@ import (
 // by PROBLEM SIZE ONLY, never by worker count, so a solve's result is
 // byte-identical for every SolveOptions.Workers value.
 //
-//   - Grids below parallelNodeThreshold keep the exact legacy sequential
-//     paths (lexicographic SOR, plain accumulation CG) — nothing changes
-//     for them, ever.
-//   - At or above the threshold, SOR switches to red-black ordering and CG
-//     to fixed-chunk reductions. Both are order-independent by
-//     construction (see DESIGN.md): red and black half-sweeps only read
-//     the opposite color, so any partition of a half-sweep commutes; dot
-//     products accumulate fixed 4096-element partials that are summed in
-//     chunk order regardless of which worker produced them; mat-vec and
-//     residual rows write disjoint outputs. Workers therefore only decides
-//     how the fixed work units are scheduled.
+//   - SOR keeps the lexicographic sweep below parallelNodeThreshold and
+//     switches to red-black ordering at or above it. Red and black
+//     half-sweeps only read the opposite color, so any partition of a
+//     half-sweep commutes.
+//   - CG is one kernel (cg.go) whose passes walk fixed dotChunkSize chunks
+//     and add the chunk partials in chunk order, whichever worker ran a
+//     chunk. Below the threshold there is a single chunk, which is the
+//     plain sequential sum; the chunks only go to the worker pool at or
+//     above it.
+//   - Multigrid and residual kernels write disjoint rows, and their
+//     reductions go through dotChunked or a max.
+//
+// Workers therefore only decides how the fixed work units are scheduled
+// (see DESIGN.md).
 const (
 	// parallelNodeThreshold is the node count at which the solvers switch
 	// to the parallel (red-black / chunked) schemes. 4096 nodes (64×64)
