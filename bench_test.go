@@ -6,6 +6,7 @@
 package copack_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the full density/wirelength comparison.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Table2(1, 10)
+		res, err := exp.Table2(context.Background(), 1, 10, exp.Harness{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,7 +493,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.Table2With(1, 10, exp.Harness{Workers: w}); err != nil {
+					if _, err := exp.Table2(context.Background(), 1, 10, exp.Harness{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -507,7 +508,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.CompareAssignWith(1, 3, exp.Harness{Workers: w}); err != nil {
+					if _, err := exp.CompareAssign(context.Background(), 1, 3, exp.Harness{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -156,7 +156,7 @@ func defaultSurfaces() ([]benchSurface, error) {
 			return fingerprintFloats(s.V), nil
 		}},
 		{"exp/table2", func(w int, rec obs.Recorder) (string, error) {
-			res, err := exp.Table2With(1, 10, exp.Harness{Workers: w})
+			res, err := exp.Table2(context.Background(), 1, 10, exp.Harness{Workers: w})
 			if err != nil {
 				return "", err
 			}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -94,6 +95,7 @@ func realMain(args []string) int {
 	// harness fans experiment work units out over -workers and reports
 	// per-unit progress on stderr; the results are byte-identical to the
 	// sequential run for any worker count.
+	ctx := context.Background()
 	harness := exp.Harness{
 		Workers:  *workers,
 		Progress: func(line string) { fmt.Fprintf(os.Stderr, "fpbench: %s\n", line) },
@@ -121,7 +123,7 @@ func realMain(args []string) int {
 	if *all || *table == 2 {
 		any = true
 		run("table2", func() error {
-			res, err := exp.Table2With(*seed, 10, harness)
+			res, err := exp.Table2(ctx, *seed, 10, harness)
 			if err != nil {
 				return err
 			}
@@ -133,7 +135,7 @@ func realMain(args []string) int {
 	if *all || *table == 3 {
 		any = true
 		run("table3", func() error {
-			res, err := exp.Table3With(*seed, harness)
+			res, err := exp.Table3(ctx, *seed, harness)
 			if err != nil {
 				return err
 			}
@@ -207,7 +209,7 @@ func realMain(args []string) int {
 	if *sweep > 0 {
 		any = true
 		run("sweep", func() error {
-			res, err := exp.SweepTable2With(exp.Seeds(*sweep), 10, harness)
+			res, err := exp.SweepTable2(ctx, exp.Seeds(*sweep), 10, harness)
 			if err != nil {
 				return err
 			}
@@ -219,7 +221,7 @@ func realMain(args []string) int {
 	if *sweep3 > 0 {
 		any = true
 		run("sweep3", func() error {
-			res, err := exp.SweepTable3With(exp.Seeds(*sweep3), harness)
+			res, err := exp.SweepTable3(ctx, exp.Seeds(*sweep3), harness)
 			if err != nil {
 				return err
 			}
@@ -243,13 +245,13 @@ func realMain(args []string) int {
 	if *all || *compare {
 		any = true
 		run("compare", func() error {
-			res, err := exp.CompareAssignWith(*seed, 10, harness)
+			res, err := exp.CompareAssign(ctx, *seed, 10, harness)
 			if err != nil {
 				return err
 			}
 			fmt.Println("== Assignment engines: random / IFA / DFA / MCMF ==")
 			fmt.Println(res.Format())
-			ws, err := exp.WarmStartWith(*seed, harness)
+			ws, err := exp.WarmStart(ctx, *seed, harness)
 			if err != nil {
 				return err
 			}

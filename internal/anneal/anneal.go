@@ -1,7 +1,8 @@
 // Package anneal provides the generic simulated-annealing engine behind the
 // paper's finger/pad exchange method (Fig 14). The engine is
-// domain-agnostic: callers supply a neighborhood via Propose and the engine
-// runs a geometric cooling schedule with Metropolis acceptance.
+// domain-agnostic: callers supply a neighborhood through the Target move
+// contract — price a sampled move, then commit or reject it — and the
+// engine runs a geometric cooling schedule with Metropolis acceptance.
 //
 // The paper's pseudocode writes its acceptance test as
 // "Random(0,1) > exp(−ΔC/Temperature)"; as printed that accepts *worse*
@@ -21,14 +22,21 @@ import (
 	"copack/internal/parallel"
 )
 
-// Target is the state being annealed. Implementations mutate themselves in
-// Propose and must be able to revert the mutation.
+// Target is the state being annealed. Each proposal is one PriceMove
+// followed — when it returns ok — by exactly one CommitMove (the engine
+// accepted: apply the move now) or RejectMove (abandon it). Pricing never
+// mutates the target, so a rejected move costs one evaluation and zero
+// undos, and PriceMove can run without heap allocation.
 type Target interface {
-	// Propose applies a random neighbor move and returns the cost delta
-	// it caused together with a revert function. ok=false means no move
-	// was applied (for example, the sampled move was illegal); the engine
-	// counts it and tries again.
-	Propose(rng *rand.Rand) (delta float64, revert func(), ok bool)
+	// PriceMove samples a neighbor move and returns the cost delta it
+	// *would* cause, without mutating the target. ok=false means no move
+	// was sampled (for example, the sampled move was illegal); the engine
+	// counts it as infeasible and tries again.
+	PriceMove(rng *rand.Rand) (delta float64, ok bool)
+	// CommitMove applies the last priced move.
+	CommitMove()
+	// RejectMove abandons the last priced move.
+	RejectMove()
 }
 
 // Snapshotter is an optional Target extension: when implemented, the engine
@@ -36,28 +44,6 @@ type Target interface {
 // the caller can keep the best state instead of settling for the final one.
 type Snapshotter interface {
 	Snapshot()
-}
-
-// DeltaPricer is an optional Target extension that splits move pricing from
-// mutation. A target that implements it is driven through PriceMove —
-// which must sample the same move Propose would for the same rng stream,
-// but only *price* it — followed by exactly one CommitMove (the engine
-// accepted: apply the move now) or RejectMove (abandon it). Rejected
-// moves therefore cost one evaluation and zero undos, and PriceMove can
-// run without heap allocation since no revert closure is needed. Targets
-// that don't implement DeltaPricer keep the legacy apply-then-maybe-revert
-// Propose path; the engine produces identical Stats either way.
-type DeltaPricer interface {
-	Target
-
-	// PriceMove samples a neighbor move and returns the cost delta it
-	// *would* cause, without mutating the target. ok=false means no move
-	// was sampled (counted as infeasible, like Propose's ok=false).
-	PriceMove(rng *rand.Rand) (delta float64, ok bool)
-	// CommitMove applies the last priced move.
-	CommitMove()
-	// RejectMove abandons the last priced move.
-	RejectMove()
 }
 
 // Schedule is a geometric cooling schedule.
@@ -124,11 +110,6 @@ type Stats struct {
 	Uphill     int // accepted moves with positive delta
 	FinalCost  float64
 	BestCost   float64
-	// Priced reports which engine path drove the run: true when the
-	// target implements DeltaPricer (price-then-commit fast path), false
-	// for the legacy apply-then-maybe-revert Propose path. Both paths
-	// produce identical results; the flag exists for telemetry.
-	Priced bool
 	// LastTemp is the temperature of the last plateau the run entered
 	// (the schedule's lowest reached point; 0 if no plateau ran).
 	LastTemp float64
@@ -175,8 +156,6 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 	if snapshotter != nil {
 		snapshotter.Snapshot()
 	}
-	pricer, priced := t.(DeltaPricer)
-	stats.Priced = priced
 	interrupt := func(err error) Stats {
 		stats.Interrupted = true
 		stats.Stopped = err.Error()
@@ -200,16 +179,7 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 					return interrupt(err), nil
 				}
 			}
-			var (
-				delta  float64
-				revert func()
-				ok     bool
-			)
-			if priced {
-				delta, ok = pricer.PriceMove(rng)
-			} else {
-				delta, revert, ok = t.Propose(rng)
-			}
+			delta, ok := t.PriceMove(rng)
 			if !ok {
 				stats.Infeasible++
 				continue
@@ -217,16 +187,10 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 			stats.Proposed++
 			accept := delta <= 0 || rng.Float64() < math.Exp(-delta/temp)
 			if !accept {
-				if priced {
-					pricer.RejectMove()
-				} else {
-					revert()
-				}
+				t.RejectMove()
 				continue
 			}
-			if priced {
-				pricer.CommitMove()
-			}
+			t.CommitMove()
 			stats.Accepted++
 			acceptedHere++
 			if delta > 0 {

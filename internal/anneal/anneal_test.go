@@ -10,6 +10,8 @@ import (
 // one coordinate by ±1. Cost = Σ x².
 type quadratic struct {
 	x []int
+	// pendIdx/pendVal hold the last priced move until CommitMove.
+	pendIdx, pendVal int
 }
 
 func (q *quadratic) cost() float64 {
@@ -20,17 +22,19 @@ func (q *quadratic) cost() float64 {
 	return c
 }
 
-func (q *quadratic) Propose(rng *rand.Rand) (float64, func(), bool) {
+func (q *quadratic) PriceMove(rng *rand.Rand) (float64, bool) {
 	i := rng.Intn(len(q.x))
 	d := 1
 	if rng.Intn(2) == 0 {
 		d = -1
 	}
-	old := q.x[i]
-	q.x[i] += d
-	delta := float64(q.x[i]*q.x[i] - old*old)
-	return delta, func() { q.x[i] = old }, true
+	nv := q.x[i] + d
+	q.pendIdx, q.pendVal = i, nv
+	return float64(nv*nv - q.x[i]*q.x[i]), true
 }
+
+func (q *quadratic) CommitMove() { q.x[q.pendIdx] = q.pendVal }
+func (q *quadratic) RejectMove() {}
 
 func TestMinimizeConverges(t *testing.T) {
 	q := &quadratic{x: []int{9, -7, 5, 12, -3}}
@@ -85,7 +89,9 @@ func TestColdRunIsGreedy(t *testing.T) {
 // rejector never offers a feasible move.
 type rejector struct{}
 
-func (rejector) Propose(*rand.Rand) (float64, func(), bool) { return 0, nil, false }
+func (rejector) PriceMove(*rand.Rand) (float64, bool) { return 0, false }
+func (rejector) CommitMove()                          { panic("rejector: commit without a priced move") }
+func (rejector) RejectMove()                          { panic("rejector: reject without a priced move") }
 
 func TestInfeasibleProposalsCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))

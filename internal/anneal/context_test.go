@@ -18,28 +18,31 @@ type walker struct {
 	// stuckAfter makes every proposal infeasible once proposed exceeds
 	// it (0 = never stuck) — a deterministic way to trigger stalls.
 	stuckAfter int
-	// onPropose, when set, runs before each proposal (cancellation hook).
-	onPropose func()
+	// onPrice, when set, runs before each proposal (cancellation hook).
+	onPrice func()
+	pend    int // x after the last priced move
 }
 
 func (w *walker) cost() float64 { return float64(w.x * w.x) }
 
-func (w *walker) Propose(rng *rand.Rand) (float64, func(), bool) {
-	if w.onPropose != nil {
-		w.onPropose()
+func (w *walker) PriceMove(rng *rand.Rand) (float64, bool) {
+	if w.onPrice != nil {
+		w.onPrice()
 	}
 	w.proposed++
 	if w.stuckAfter > 0 && w.proposed > w.stuckAfter {
-		return 0, nil, false
+		return 0, false
 	}
 	d := 1
 	if rng.Intn(2) == 0 {
 		d = -1
 	}
-	old := w.x
-	w.x += d
-	return float64(w.x*w.x - old*old), func() { w.x = old }, true
+	w.pend = w.x + d
+	return float64(w.pend*w.pend - w.x*w.x), true
 }
+
+func (w *walker) CommitMove() { w.x = w.pend }
+func (w *walker) RejectMove() {}
 
 func (w *walker) Snapshot() { w.snapped = w.x; w.snaps++ }
 
@@ -117,7 +120,7 @@ func TestNoFeasibleMoveLeavesStateUntouched(t *testing.T) {
 func TestCancellationMidPlateauLeavesConsistentStats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &walker{x: 50}
-	w.onPropose = func() {
+	w.onPrice = func() {
 		if w.proposed == 100 {
 			cancel()
 		}

@@ -3,9 +3,8 @@ package anneal
 import "copack/internal/obs"
 
 // Record emits a finished run's telemetry to rec: activity counters
-// (proposals, acceptances, rejections, infeasible samples), the
-// priced-vs-legacy engine path, the cost endpoints and the temperature
-// schedule points actually used. Callers namespace per restart with
+// (proposals, acceptances, rejections, infeasible samples), the cost
+// endpoints and the temperature schedule points actually used. Callers namespace per restart with
 // obs.WithPrefix (gauges are last-write-wins, so concurrent restarts must
 // not share keys). Recording happens strictly after the anneal — nothing
 // here can perturb the run, which is what keeps instrumented runs
@@ -18,11 +17,6 @@ func (s Stats) Record(rec obs.Recorder, sched Schedule) {
 	rec.Add("rejected", int64(s.Proposed-s.Accepted))
 	rec.Add("uphill", int64(s.Uphill))
 	rec.Add("infeasible", int64(s.Infeasible))
-	if s.Priced {
-		rec.Add("priced_path_runs", 1)
-	} else {
-		rec.Add("legacy_path_runs", 1)
-	}
 	if s.Interrupted {
 		rec.Add("interrupted", 1)
 	}

@@ -8,12 +8,12 @@ import (
 
 // TestStatsRecord checks the telemetry emitted for one finished anneal:
 // every counter mirrors its Stats field, the derived rejected count is
-// Proposed-Accepted, the priced/legacy path flag maps to the right counter,
-// and the schedule gauges reflect the defaulted schedule.
+// Proposed-Accepted, and the schedule gauges reflect the defaulted
+// schedule.
 func TestStatsRecord(t *testing.T) {
 	s := Stats{
 		Plateaus: 7, Proposed: 100, Infeasible: 5, Accepted: 60, Uphill: 12,
-		FinalCost: 2.5, BestCost: 1.25, Priced: true, LastTemp: 0.125,
+		FinalCost: 2.5, BestCost: 1.25, LastTemp: 0.125,
 		Interrupted: true,
 	}
 	col := obs.NewCollector()
@@ -22,22 +22,18 @@ func TestStatsRecord(t *testing.T) {
 	snap := col.Snapshot()
 
 	wantCounters := map[string]int64{
-		"plateaus":         7,
-		"proposed":         100,
-		"accepted":         60,
-		"rejected":         40,
-		"uphill":           12,
-		"infeasible":       5,
-		"priced_path_runs": 1,
-		"interrupted":      1,
+		"plateaus":    7,
+		"proposed":    100,
+		"accepted":    60,
+		"rejected":    40,
+		"uphill":      12,
+		"infeasible":  5,
+		"interrupted": 1,
 	}
 	for k, want := range wantCounters {
 		if got := snap.Counters[k]; got != want {
 			t.Errorf("counter %s = %d, want %d", k, got, want)
 		}
-	}
-	if _, ok := snap.Counters["legacy_path_runs"]; ok {
-		t.Error("priced run also emitted legacy_path_runs")
 	}
 	def := sched.withDefaults()
 	wantGauges := map[string]float64{
@@ -55,15 +51,11 @@ func TestStatsRecord(t *testing.T) {
 		}
 	}
 
-	// The legacy path emits legacy_path_runs instead, and an
-	// uninterrupted run emits no interrupted counter at all.
+	// An uninterrupted run emits no interrupted counter at all.
 	s2 := Stats{Proposed: 1}
 	col2 := obs.NewCollector()
 	s2.Record(col2, sched)
 	snap2 := col2.Snapshot()
-	if got := snap2.Counters["legacy_path_runs"]; got != 1 {
-		t.Errorf("legacy_path_runs = %d, want 1", got)
-	}
 	if _, ok := snap2.Counters["interrupted"]; ok {
 		t.Error("uninterrupted run emitted interrupted counter")
 	}

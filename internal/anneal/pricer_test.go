@@ -6,71 +6,48 @@ import (
 	"testing"
 )
 
-// pricedQuadratic is quadratic with the DeltaPricer contract: PriceMove
-// samples the identical move from the same rng stream but defers the
-// mutation to CommitMove.
-type pricedQuadratic struct {
-	quadratic
-	pendIdx int
-	pendVal int
-}
-
-func (q *pricedQuadratic) PriceMove(rng *rand.Rand) (float64, bool) {
-	i := rng.Intn(len(q.x))
-	d := 1
-	if rng.Intn(2) == 0 {
-		d = -1
-	}
-	nv := q.x[i] + d
-	q.pendIdx, q.pendVal = i, nv
-	return float64(nv*nv - q.x[i]*q.x[i]), true
-}
-
-func (q *pricedQuadratic) CommitMove() { q.x[q.pendIdx] = q.pendVal }
-func (q *pricedQuadratic) RejectMove() {}
-
-// TestDeltaPricerMatchesPropose anneals twin targets — one through the
-// legacy Propose path, one through the DeltaPricer fast path — with the
-// same seed and requires identical Stats and identical final states. This
-// is the engine-level half of the determinism contract: a pricer that
-// samples the same moves must see the same acceptance stream.
-func TestDeltaPricerMatchesPropose(t *testing.T) {
-	start := []int{9, -7, 5, 12, -3, 8}
-	legacy := &quadratic{x: append([]int(nil), start...)}
-	priced := &pricedQuadratic{quadratic: quadratic{x: append([]int(nil), start...)}}
+// TestPricedQuadraticStatsPinned pins one full anneal of the quadratic
+// target at seed 5: every Stats counter and the Float64bits of the cost
+// endpoints and the last temperature. The engine's move loop — rng draw
+// order, Metropolis test, commit/reject dispatch, cost bookkeeping — may
+// be restructured, but never in a way that changes these values.
+func TestPricedQuadraticStatsPinned(t *testing.T) {
+	q := &quadratic{x: []int{9, -7, 5, 12, -3, 8}}
 	sched := Schedule{InitialTemp: 50, FinalTemp: 1e-3, Cooling: 0.9, MovesPerTemp: 150}
-
-	stL, err := Minimize(legacy, legacy.cost(), sched, rand.New(rand.NewSource(5)))
+	st, err := Minimize(q, q.cost(), sched, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stP, err := Minimize(priced, priced.cost(), sched, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
+	want := Stats{Plateaus: 103, Proposed: 15450, Infeasible: 0, Accepted: 4694, Uphill: 2325}
+	got := st
+	got.FinalCost, got.BestCost, got.LastTemp = 0, 0, 0
+	if got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
-	if stL.Priced || !stP.Priced {
-		t.Errorf("Priced flags wrong: legacy %v, priced %v", stL.Priced, stP.Priced)
-	}
-	// The Priced flag is the only permitted divergence between the paths.
-	stP.Priced = stL.Priced
-	if stL != stP {
-		t.Errorf("stats diverge:\nlegacy %+v\npriced %+v", stL, stP)
-	}
-	for i := range legacy.x {
-		if legacy.x[i] != priced.x[i] {
-			t.Errorf("x[%d]: legacy %d, priced %d", i, legacy.x[i], priced.x[i])
+	for _, c := range []struct {
+		name string
+		v    float64
+		bits uint64
+	}{
+		{"FinalCost", st.FinalCost, 0},
+		{"BestCost", st.BestCost, 0},
+		{"LastTemp", st.LastTemp, 0x3f519ff7702285b1},
+	} {
+		if b := math.Float64bits(c.v); b != c.bits {
+			t.Errorf("%s bits = %#x (%v), want %#x", c.name, b, c.v, c.bits)
 		}
 	}
-	if math.Float64bits(stL.FinalCost) != math.Float64bits(stP.FinalCost) {
-		t.Errorf("FinalCost bits differ: %x vs %x",
-			math.Float64bits(stL.FinalCost), math.Float64bits(stP.FinalCost))
+	for i, v := range q.x {
+		if v != 0 {
+			t.Errorf("x[%d] = %d, want 0", i, v)
+		}
 	}
 }
 
 // TestDeltaPricerInfeasible checks the engine counts a PriceMove ok=false
 // as infeasible and keeps going, without calling Commit or Reject.
 type stubbornPricer struct {
-	pricedQuadratic
+	quadratic
 	refuse  int
 	refused int
 }
@@ -81,7 +58,7 @@ func (q *stubbornPricer) PriceMove(rng *rand.Rand) (float64, bool) {
 		rng.Intn(2) // consume something so the stream advances
 		return 0, false
 	}
-	return q.pricedQuadratic.PriceMove(rng)
+	return q.quadratic.PriceMove(rng)
 }
 
 func TestDeltaPricerInfeasible(t *testing.T) {

@@ -207,55 +207,6 @@ func (s *state) cost() float64 {
 	return c
 }
 
-// Propose implements anneal.Target: pick a pad per Fig 14 (any pad for
-// stacking ICs, a supply pad for 2-D), swap it with a random neighbor, and
-// price the move. This is the legacy mutate-then-maybe-undo path; the
-// annealer uses the mutation-free PriceMove fast path (pricing.go), which
-// samples and prices the identical move for the same rng stream.
-func (s *state) Propose(rng *rand.Rand) (float64, func(), bool) {
-	side, i, ok := s.pickSlot(rng)
-	if !ok {
-		return 0, nil, false
-	}
-	j := i + 1
-	if (rng.Intn(2) == 0 && i > 1) || j > len(s.a.Slots[side]) {
-		j = i - 1
-	}
-	slots := s.a.Slots[side]
-	na, nb := slots[i-1], slots[j-1]
-
-	if !s.opt.DisableRangeConstraint {
-		sd := &s.sections[side]
-		if sd.row(na) == sd.row(nb) {
-			// Same horizontal line: swapping would invert the via
-			// order (range constraint).
-			return 0, nil, false
-		}
-	}
-
-	before := s.cost()
-	s.apply(side, i, j)
-	after := s.cost()
-	return after - before, func() { s.apply(side, i, j) }, true
-}
-
-// apply mutates the state by swapping the adjacent slots i and j (1-based,
-// |i−j| = 1) and updating every incremental cache.
-func (s *state) apply(side bga.Side, i, j int) {
-	lo := i
-	if j < i {
-		lo = j
-	}
-	slots := s.a.Slots[side]
-	sd := &s.sections[side]
-	sd.commitSwap(sd.priceSwap(slots[lo-1], slots[lo]))
-	s.idCache[side] = sd.worst()
-	s.a.Swap(side, i, j)
-	sup := s.isSupply[side]
-	sup[i-1], sup[j-1] = sup[j-1], sup[i-1]
-	s.trk.apply(side, i, j, sup)
-}
-
 // pickSlot samples the pad to move. For 2-D ICs only supply pads move (the
 // paper's "random choose one power pad"); for stacking ICs any pad moves.
 func (s *state) pickSlot(rng *rand.Rand) (bga.Side, int, bool) {
@@ -515,11 +466,6 @@ func eq3Terms(p *core.Problem, st *state, opt Options) eq3Breakdown {
 		b.Total += b.Omega
 	}
 	return b
-}
-
-// selectionCost is eq3Terms' total (kept for the drift tests).
-func selectionCost(p *core.Problem, st *state, opt Options) float64 {
-	return eq3Terms(p, st, opt).Total
 }
 
 // Score recomputes the Eq 3 cost of order a in the frame anchored at

@@ -5,27 +5,27 @@ import (
 
 	"copack/internal/bga"
 	"copack/internal/core"
-	"copack/internal/netlist"
 	"copack/internal/power"
 	"copack/internal/stack"
 )
 
-// The annealer prices ~10⁵ moves per run, and pricing a move twice per
-// proposal with full recomputation of the pad-gap proxy (O(s log s)) and of
-// ω (O(α)) dominates the runtime. This file maintains both incrementally:
-// an adjacent swap moves at most one supply pad by one ring slot (its rank
+// The annealer prices ~10⁵ moves per run, and pricing a move with full
+// recomputation of the pad-gap proxy (O(s log s)) and of ω (O(α)) would
+// dominate the runtime. This file maintains both incrementally: an
+// adjacent swap moves at most one supply pad by one ring slot (its rank
 // among supply pads cannot change) and touches at most two ω groups, so
 // each is an O(1) update. Floating-point drift from the proxy deltas is
 // bounded by resyncing the cache from scratch every resyncInterval applies.
 //
-// Two access paths share the caches. The legacy path (apply/moveSupply)
-// mutates on every proposal and undoes rejections by applying the swap
-// again. The priced path (priceSupplyMove + commitSupply/rejectSupply)
-// evaluates a proposal without mutating and only commits on acceptance —
-// but it reproduces the legacy path's floating-point history bit for bit,
-// including the add-then-subtract rounding a rejected apply/undo pair
-// leaves in the proxy cache and the periodic resyncs (which clear it), so
-// a run is byte-identical whichever path the annealer uses.
+// A proposal is priced without mutating (priceSupplyMove, priceTierSwap)
+// and resolved by commitSupply/commitTierSwap or rejectSupply. The float
+// history is not the naive one, though: the exchange once applied every
+// proposal and undid a rejection by applying the swap again, and the
+// golden matrix pins the results of that history. rejectSupply therefore
+// replays the add-then-subtract rounding a rejected apply/undo pair left
+// in the proxy cache and the resync schedule it advanced (a resync clears
+// the rounding). The mutate-then-undo path survives as the test oracle in
+// oracle_test.go, which checks the replay move by move.
 
 const resyncInterval = 4096
 
@@ -133,48 +133,14 @@ func circGap(a, b float64) float64 {
 	return d
 }
 
-// moveSupply updates the proxy for a supply pad moving from global index
-// gi to the adjacent global index gj (the legacy mutating path).
-func (tr *tracker) moveSupply(gi, gj int) {
-	r := tr.rankOf[gi]
-	if r < 0 {
-		return
-	}
-	n := len(tr.supplyIdx)
-	if n == 1 {
-		// A single pad's cost is one full-circle gap regardless of
-		// position.
-		tr.supplyIdx[0] = gj
-		tr.rankOf[gi] = -1
-		tr.rankOf[gj] = 0
-		return
-	}
-	prev := tr.supplyIdx[(r-1+n)%n]
-	next := tr.supplyIdx[(r+1)%n]
-	tOld, tNew := tr.tGlobal[gi], tr.tGlobal[gj]
-	tPrev, tNext := tr.tGlobal[prev], tr.tGlobal[next]
-	oldCost := sq(circGap(tPrev, tOld)) + sq(circGap(tOld, tNext))
-	newCost := sq(circGap(tPrev, tNew)) + sq(circGap(tNew, tNext))
-	tr.proxy += newCost - oldCost
-	tr.supplyIdx[r] = gj
-	tr.rankOf[gi] = -1
-	tr.rankOf[gj] = r
-
-	tr.applies++
-	if tr.applies%resyncInterval == 0 {
-		tr.resyncProxy()
-	}
-}
-
 func sq(v float64) float64 { return v * v }
 
-// supplyPend is a priced supply-pad move. proxyAccept/appliesAccept are
-// the cache values after committing the move; proxyReject/appliesReject
-// after rejecting it. The reject values are not simply "unchanged": the
-// legacy path undoes a rejection with a second apply, whose add-then-
-// subtract leaves (proxy + d) − d rounding in the cache and advances the
-// resync counter by two — reproducing that exactly is what keeps priced
-// runs byte-identical to legacy runs.
+// supplyPend is a priced supply-pad move. proxyAccept/appliesAcc are the
+// cache values after committing the move; proxyReject/appliesRej after
+// rejecting it. The reject values are not simply "unchanged": they are what
+// an apply followed by an undoing apply would leave — (proxy + d) − d
+// rounding in the cache and a resync counter advanced by two — because the
+// golden matrix pins runs made with that float history.
 type supplyPend struct {
 	moved       bool
 	gFrom, gTo  int
@@ -187,8 +153,8 @@ type supplyPend struct {
 
 // priceSupplyMove prices the supply pad at global index gFrom moving to
 // the adjacent index gTo without mutating anything. O(1) except on a
-// resync boundary, where it recomputes from scratch exactly as the legacy
-// path would (amortized O(1), allocation-free either way).
+// resync boundary, where it recomputes from scratch exactly as an applied
+// move would (amortized O(1), allocation-free either way).
 func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
 	r := tr.rankOf[gFrom]
 	if r < 0 {
@@ -196,8 +162,9 @@ func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
 	}
 	n := len(tr.supplyIdx)
 	if n == 1 {
-		// The legacy single-pad branch moves the position without
-		// touching proxy or the resync counter.
+		// A single pad's cost is one full-circle gap regardless of
+		// position: the move touches neither proxy nor the resync
+		// counter.
 		return supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: 0,
 			proxyAccept: tr.proxy, proxyReject: tr.proxy,
 			appliesAcc: tr.applies, appliesRej: tr.applies}
@@ -213,7 +180,7 @@ func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
 	if aa%resyncInterval == 0 {
 		pa = tr.resyncCost(r, gTo)
 	}
-	// The legacy undo recomputes the two gap costs at the swapped
+	// An undoing apply recomputes the two gap costs at the swapped
 	// position; those expressions are bit-identical to newCost/oldCost
 	// above, so the undo delta is exactly (oldCost − newCost).
 	pr := pa + (oldCost - newCost)
@@ -240,8 +207,10 @@ func (tr *tracker) commitSupply(sp supplyPend) {
 	tr.applies = sp.appliesAcc
 }
 
-// rejectSupply absorbs the rounding and resync-counter advance a legacy
-// apply/undo pair would have produced, leaving positions untouched.
+// rejectSupply absorbs the rounding and resync-counter advance an
+// apply/undo pair would have produced, leaving positions untouched. It
+// exists only to keep the float history the golden matrix pins; dropping
+// it would be a deliberate re-baseline of those pins.
 func (tr *tracker) rejectSupply(sp supplyPend) {
 	if !sp.moved {
 		return
@@ -288,25 +257,6 @@ func (tr *tracker) groupOmegaSwapped(group, gi, gj int) int {
 	return bits.OnesCount64(full &^ union)
 }
 
-// swapTiers updates ω for a swap of the adjacent global indices gi, gj
-// (the legacy mutating path).
-func (tr *tracker) swapTiers(gi, gj int) {
-	if tr.psi <= 1 {
-		return
-	}
-	ga, gb := gi/tr.psi, gj/tr.psi
-	before := tr.groupOmega(ga)
-	if gb != ga {
-		before += tr.groupOmega(gb)
-	}
-	tr.tiers[gi], tr.tiers[gj] = tr.tiers[gj], tr.tiers[gi]
-	after := tr.groupOmega(ga)
-	if gb != ga {
-		after += tr.groupOmega(gb)
-	}
-	tr.omega += after - before
-}
-
 // priceTierSwap returns the ω value after swapping the adjacent global
 // indices gi, gj, without mutating. A within-group swap cannot change a
 // group's tier union, so only boundary swaps do any work.
@@ -330,27 +280,4 @@ func (tr *tracker) commitTierSwap(gi, gj, omega int) {
 	}
 	tr.tiers[gi], tr.tiers[gj] = tr.tiers[gj], tr.tiers[gi]
 	tr.omega = omega
-}
-
-// apply updates the caches for the swap of slots i and j (1-based) on a
-// side, given the supply flags *after* the state swap was applied (the
-// legacy mutating path; the annealer's fast path prices then commits).
-func (tr *tracker) apply(side bga.Side, i, j int, isSupply []bool) {
-	gi, gj := tr.globalOf[side][i-1], tr.globalOf[side][j-1]
-	// After the swap, isSupply[i-1] holds what was at j and vice versa.
-	supI, supJ := isSupply[i-1], isSupply[j-1]
-	switch {
-	case supI && !supJ:
-		// The pad that is now at i came from j.
-		tr.moveSupply(gj, gi)
-	case supJ && !supI:
-		tr.moveSupply(gi, gj)
-		// Both or neither supply: gaps unchanged.
-	}
-	tr.swapTiers(gi, gj)
-}
-
-// verify recomputes everything from scratch (test hook).
-func (tr *tracker) verify(p *core.Problem, a *core.Assignment, classes []netlist.NetClass) (proxy float64, omega int) {
-	return power.ProxyForAssignment(p, a, classes...), stack.OmegaAssignment(p, a)
 }

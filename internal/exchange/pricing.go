@@ -10,13 +10,11 @@ import (
 	"copack/internal/core"
 )
 
-// This file is the annealer's fast path: anneal.DeltaPricer implemented so
-// that one proposal costs one O(1) evaluation and zero allocations, and a
-// rejected move — the vast majority at low temperature — mutates nothing.
-// The legacy Propose path applies every proposal and undoes rejections
-// with a second apply; both paths sample identical moves from the same
-// rng stream and produce bit-identical cost deltas and caches, which the
-// pricing equivalence tests pin down.
+// This file implements anneal.Target so that one proposal costs one O(1)
+// evaluation and zero allocations, and a rejected move — the vast majority
+// at low temperature — mutates nothing. The moves, cost deltas and caches
+// are bit-identical to those of the mutate-then-undo test oracle
+// (oracle_test.go), which TestPriceMoveEquivalentToPropose checks.
 
 // pendMove is the move priced by the last PriceMove call, held in the
 // state (not a closure) so resolving it allocates nothing.
@@ -30,10 +28,10 @@ type pendMove struct {
 	omega  int // trk.omega after a commit
 }
 
-// PriceMove implements anneal.DeltaPricer: it samples exactly the move
-// Propose would for the same rng stream, but prices it in O(1) without
-// mutating the state. CommitMove or RejectMove must resolve it before the
-// next call.
+// PriceMove implements anneal.Target: pick a pad per Fig 14 (any pad for
+// stacking ICs, a supply pad for 2-D), pair it with a random neighbor, and
+// price the swap in O(1) without mutating the state. CommitMove or
+// RejectMove must resolve it before the next call.
 func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	side, i, ok := s.pickSlot(rng)
 	if !ok {
@@ -111,8 +109,8 @@ func (s *state) CommitMove() {
 
 // RejectMove abandons the last priced move. Nothing was mutated, but the
 // proxy cache still absorbs the add-then-subtract rounding (and resync
-// schedule) the legacy apply/undo pair would have produced, so priced runs
-// stay byte-identical to legacy runs.
+// schedule) an apply/undo pair would have produced — the float history the
+// golden matrix pins (see rejectSupply).
 func (s *state) RejectMove() {
 	s.trk.rejectSupply(s.pend.sup)
 }

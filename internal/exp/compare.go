@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"copack/internal/assign"
 	"copack/internal/core"
 	"copack/internal/exchange"
 	"copack/internal/gen"
-	"copack/internal/parallel"
 	"copack/internal/power"
 	"copack/internal/route"
 )
@@ -90,26 +88,20 @@ func compareRow(tc gen.TestCircuit, seed int64, randomTries int) (CompareRow, er
 	return row, nil
 }
 
-// CompareAssignWith compares random, IFA, DFA and MCMF on the test circuits,
+// CompareAssign compares random, IFA, DFA and MCMF on the test circuits,
 // fanned out over the harness pool. Rows land at their circuit's index, so
 // the result is identical for any Workers value.
-func CompareAssignWith(seed int64, randomTries int, h Harness) (*CompareResult, error) {
+func CompareAssign(ctx context.Context, seed int64, randomTries int, h Harness) (*CompareResult, error) {
 	if randomTries < 1 {
 		randomTries = 10
 	}
 	circuits := gen.Table1()
-	rows := make([]CompareRow, len(circuits))
-	var mu sync.Mutex
-	err := parallel.ForEachErr(context.Background(), len(circuits), h.Workers, func(_ context.Context, i int) error {
-		row, err := compareRow(circuits[i], seed, randomTries)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		h.progressf(&mu, "compare %s: density %d/%d/%d/%d (random/IFA/DFA/MCMF)",
-			row.Circuit, row.RandomDensity, row.IFADensity, row.DFADensity, row.MCMFDensity)
-		return nil
-	})
+	rows, _, err := runUnits(ctx, h, len(circuits),
+		func(i int) (CompareRow, error) { return compareRow(circuits[i], seed, randomTries) },
+		func(_ int, row CompareRow, _ int) string {
+			return fmt.Sprintf("compare %s: density %d/%d/%d/%d (random/IFA/DFA/MCMF)",
+				row.Circuit, row.RandomDensity, row.IFADensity, row.DFADensity, row.MCMFDensity)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -131,11 +123,6 @@ func CompareAssignWith(seed int64, randomTries int, h Harness) (*CompareResult, 
 	out.AvgWirelenDFA /= n
 	out.AvgWirelenMCMF /= n
 	return out, nil
-}
-
-// CompareAssign is CompareAssignWith run sequentially.
-func CompareAssign(seed int64, randomTries int) (*CompareResult, error) {
-	return CompareAssignWith(seed, randomTries, Harness{Workers: 1})
 }
 
 // Format renders the comparison in Table 2's layout plus the MCMF columns.
@@ -236,31 +223,19 @@ func warmStartRow(tc gen.TestCircuit, psi int, seed int64) (WarmStartRow, error)
 	return row, nil
 }
 
-// WarmStartWith compares cold and MCMF-warm-started exchange runs over the
-// test circuits for ψ ∈ {1, 4}, fanned out over the harness pool.
-func WarmStartWith(seed int64, h Harness) (*WarmStartResult, error) {
-	type item struct {
-		tc  gen.TestCircuit
-		psi int
-	}
-	var items []item
-	for _, psi := range []int{1, 4} {
-		for _, tc := range gen.Table1() {
-			items = append(items, item{tc: tc, psi: psi})
-		}
-	}
-	rows := make([]WarmStartRow, len(items))
-	var mu sync.Mutex
-	err := parallel.ForEachErr(context.Background(), len(items), h.Workers, func(_ context.Context, i int) error {
-		row, err := warmStartRow(items[i].tc, items[i].psi, seed)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		h.progressf(&mu, "warmstart %s ψ=%d: cost cold %.4f warm %.4f",
-			row.Circuit, row.Psi, row.ColdCost, row.WarmCost)
-		return nil
-	})
+// WarmStart compares cold and MCMF-warm-started exchange runs over the
+// test circuits for ψ ∈ {1, 4} (Table 3's instances), fanned out over the
+// harness pool; rows land at their instance's index.
+func WarmStart(ctx context.Context, seed int64, h Harness) (*WarmStartResult, error) {
+	items := table3Instances()
+	rows, _, err := runUnits(ctx, h, len(items),
+		func(i int) (WarmStartRow, error) {
+			return warmStartRow(items[i].tc, items[i].psi, seed)
+		},
+		func(_ int, row WarmStartRow, _ int) string {
+			return fmt.Sprintf("warmstart %s ψ=%d: cost cold %.4f warm %.4f",
+				row.Circuit, row.Psi, row.ColdCost, row.WarmCost)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -270,11 +245,6 @@ func WarmStartWith(seed int64, h Harness) (*WarmStartResult, error) {
 	}
 	out.AvgCostDelta /= float64(len(rows))
 	return out, nil
-}
-
-// WarmStart is WarmStartWith run sequentially.
-func WarmStart(seed int64) (*WarmStartResult, error) {
-	return WarmStartWith(seed, Harness{Workers: 1})
 }
 
 // Format renders the warm-start comparison.

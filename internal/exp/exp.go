@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -74,10 +75,88 @@ type Table2Result struct {
 
 // Table2 reproduces Table 2: max package density and total routed
 // wirelength for the random baseline, IFA and DFA on the five test
-// circuits. It is Table2With run sequentially; the harness variant returns
-// the identical result for any worker count.
-func Table2(seed int64, randomTries int) (*Table2Result, error) {
-	return Table2With(seed, randomTries, Harness{Workers: 1})
+// circuits, fanned out over the harness pool. Rows land at their circuit's
+// index and ratios are averaged afterwards in that order, so the result is
+// identical for any worker count.
+func Table2(ctx context.Context, seed int64, randomTries int, h Harness) (*Table2Result, error) {
+	if randomTries < 1 {
+		randomTries = 10
+	}
+	circuits := gen.Table1()
+	rows, _, err := runUnits(ctx, h, len(circuits),
+		func(i int) (Table2Row, error) { return table2Row(circuits[i], seed, randomTries) },
+		func(_ int, row Table2Row, _ int) string {
+			return fmt.Sprintf("table2 %s: density %d/%d/%d (random/IFA/DFA)",
+				row.Circuit, row.RandomDensity, row.IFADensity, row.DFADensity)
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table2Result{Rows: rows}
+	var dIFA, dDFA, wIFA, wDFA float64
+	for _, row := range rows {
+		dIFA += float64(row.IFADensity) / float64(row.RandomDensity)
+		dDFA += float64(row.DFADensity) / float64(row.RandomDensity)
+		wIFA += row.IFAWirelen / row.RandomWirelen
+		wDFA += row.DFAWirelen / row.RandomWirelen
+	}
+	n := float64(len(rows))
+	out.AvgDensityIFA, out.AvgDensityDFA = dIFA/n, dDFA/n
+	out.AvgWirelenIFA, out.AvgWirelenDFA = wIFA/n, wDFA/n
+	return out, nil
+}
+
+// table2Row runs Table 2's three methods on one circuit. This is Table 2's
+// unit of parallelism; it is self-contained (its rng is seeded locally), so
+// rows can run in any order.
+func table2Row(tc gen.TestCircuit, seed int64, randomTries int) (Table2Row, error) {
+	var row Table2Row
+	p, err := gen.Build(tc, gen.Options{Seed: seed})
+	if err != nil {
+		return row, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	randA, randS, err := RandomBaseline(p, rng, randomTries)
+	if err != nil {
+		return row, err
+	}
+	ifaA, err := assign.IFA(p)
+	if err != nil {
+		return row, err
+	}
+	dfaA, err := assign.DFA(p, assign.DFAOptions{})
+	if err != nil {
+		return row, err
+	}
+	// The paper computes wirelength on the realized routing, where detoured
+	// paths cost extra.
+	wl := func(a *core.Assignment) (float64, error) {
+		r, err := route.Realize(p, a)
+		if err != nil {
+			return 0, err
+		}
+		return r.TotalLength(), nil
+	}
+	ifaS, err := route.Evaluate(p, ifaA)
+	if err != nil {
+		return row, err
+	}
+	dfaS, err := route.Evaluate(p, dfaA)
+	if err != nil {
+		return row, err
+	}
+	row = Table2Row{Circuit: tc.Name,
+		RandomDensity: randS.MaxDensity, IFADensity: ifaS.MaxDensity, DFADensity: dfaS.MaxDensity}
+	if row.RandomWirelen, err = wl(randA); err != nil {
+		return row, err
+	}
+	if row.IFAWirelen, err = wl(ifaA); err != nil {
+		return row, err
+	}
+	if row.DFAWirelen, err = wl(dfaA); err != nil {
+		return row, err
+	}
+	return row, nil
 }
 
 // Format renders the table in the paper's layout.
@@ -130,13 +209,99 @@ func Table3Grid(p *core.Problem) power.GridSpec {
 	return g
 }
 
+// psiInstance is one (circuit, ψ) instance of the Table 3 family.
+type psiInstance struct {
+	tc  gen.TestCircuit
+	psi int
+}
+
+// table3Instances lists Table 3's ten instances: ψ-major, then circuit
+// order.
+func table3Instances() []psiInstance {
+	var items []psiInstance
+	for _, psi := range []int{1, 4} {
+		for _, tc := range gen.Table1() {
+			items = append(items, psiInstance{tc: tc, psi: psi})
+		}
+	}
+	return items
+}
+
 // Table3 reproduces Table 3: for every test circuit and ψ ∈ {1, 4}, run
 // DFA, then the finger/pad exchange, and report the density before/after,
 // the solved IR-drop improvement and (for ψ=4) the bonding improvement.
-// It is Table3With run sequentially; the harness variant returns the
-// identical result for any worker count.
-func Table3(seed int64) (*Table3Result, error) {
-	return Table3With(seed, Harness{Workers: 1})
+// The ten instances fan out over the harness pool; averages are computed
+// from the index-ordered rows, so the result is identical for any worker
+// count.
+func Table3(ctx context.Context, seed int64, h Harness) (*Table3Result, error) {
+	items := table3Instances()
+	rows, _, err := runUnits(ctx, h, len(items),
+		func(i int) (Table3Row, error) { return table3Row(items[i].tc, items[i].psi, seed) },
+		func(_ int, row Table3Row, _ int) string {
+			return fmt.Sprintf("table3 %s ψ=%d: IR improved %.2f%%", row.Circuit, row.Psi, row.IRImprovedPct)
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table3Result{Rows: rows, AvgIRPct: make(map[int]float64)}
+	counts := make(map[int]int)
+	var bondSum float64
+	bondCount := 0
+	for _, row := range rows {
+		out.AvgIRPct[row.Psi] += row.IRImprovedPct
+		counts[row.Psi]++
+		if row.Psi > 1 {
+			bondSum += row.BondImprovedPct
+			bondCount++
+		}
+	}
+	for psi, sum := range out.AvgIRPct {
+		out.AvgIRPct[psi] = sum / float64(counts[psi])
+	}
+	if bondCount > 0 {
+		out.AvgBondPct = bondSum / float64(bondCount)
+	}
+	return out, nil
+}
+
+// table3Row runs one (circuit, ψ) instance of Table 3: DFA, exchange, and
+// the before/after IR solves. Self-contained, hence order-independent.
+func table3Row(tc gen.TestCircuit, psi int, seed int64) (Table3Row, error) {
+	var row Table3Row
+	p, err := gen.Build(tc, gen.Options{Seed: seed, Tiers: psi})
+	if err != nil {
+		return row, err
+	}
+	dfaA, err := assign.DFA(p, assign.DFAOptions{})
+	if err != nil {
+		return row, err
+	}
+	res, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed})
+	if err != nil {
+		return row, err
+	}
+	g := Table3Grid(p)
+	before, err := power.SolveAssignment(p, dfaA, g, power.SolveOptions{})
+	if err != nil {
+		return row, err
+	}
+	after, err := power.SolveAssignment(p, res.Assignment, g, power.SolveOptions{})
+	if err != nil {
+		return row, err
+	}
+	row = Table3Row{
+		Circuit:              tc.Name,
+		Psi:                  psi,
+		DensityAfterDFA:      res.Before.MaxDensity,
+		DensityAfterExchange: res.After.MaxDensity,
+		IRImprovedPct:        (before.MaxDrop() - after.MaxDrop()) / before.MaxDrop() * 100,
+		OmegaBefore:          res.Before.Omega,
+		OmegaAfter:           res.After.Omega,
+	}
+	if psi > 1 {
+		row.BondImprovedPct = float64(row.OmegaBefore-row.OmegaAfter) / float64(p.Circuit.NumNets()) * 100
+	}
+	return row, nil
 }
 
 // Format renders the table in the paper's layout.

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -15,7 +17,7 @@ func TestTable1Text(t *testing.T) {
 }
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
-	res, err := Table2(1, 10)
+	res, err := Table2(context.Background(), 1, 10, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +97,18 @@ func TestFig6QuickShape(t *testing.T) {
 			t.Errorf("%s: bad SVG", name)
 		}
 	}
+	// The drops are pinned bit for bit: the pad anneal's move contract
+	// may change shape, but never the moves it draws or the drops it
+	// solves.
+	for name, want := range map[string]uint64{
+		"random":   0x3fb7fcd99e6e5880,
+		"regular":  0x3fb4816a90ce4418,
+		"proposed": 0x3fb1bfa8d0d8a8c0,
+	} {
+		if got := math.Float64bits(res.Drop[name]); got != want {
+			t.Errorf("%s drop bits = %#x (%v), want %#x", name, got, res.Drop[name], want)
+		}
+	}
 }
 
 func TestFig15(t *testing.T) {
@@ -122,7 +136,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 3 runs ten annealers; skipped with -short")
 	}
-	res, err := Table3(1)
+	res, err := Table3(context.Background(), 1, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +192,11 @@ func TestBondSummary(t *testing.T) {
 
 func TestRandomBaselinePicksBest(t *testing.T) {
 	// More tries can only improve (or match) the best density.
-	resA, err := Table2(3, 1)
+	resA, err := Table2(context.Background(), 3, 1, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := Table2(3, 20)
+	resB, err := Table2(context.Background(), 3, 20, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,6 +151,12 @@ type padTarget struct {
 	pos  []int // perimeter positions
 	g    power.GridSpec
 	best []int // lowest-drop positions seen (anneal.Snapshotter)
+	// drop0 is the solved drop of pos, so pricing a move costs one solve.
+	drop0 float64
+	// The last priced move: pad pendK to position pendPos, solved drop
+	// pendDrop.
+	pendK, pendPos int
+	pendDrop       float64
 }
 
 // Snapshot implements anneal.Snapshotter: Fig 6's cost is the pure solved
@@ -167,35 +173,43 @@ func (s *padTarget) pads() []power.Pad {
 	return out
 }
 
-func (s *padTarget) drop() (float64, error) {
-	sol, err := power.Solve(s.g, s.pads(), power.SolveOptions{})
+// drop solves the grid under pads and returns its maximum IR-drop.
+func (s *padTarget) drop(pads []power.Pad) (float64, error) {
+	sol, err := power.Solve(s.g, pads, power.SolveOptions{})
 	if err != nil {
 		return 0, err
 	}
 	return sol.MaxDrop(), nil
 }
 
-// Propose implements anneal.Target: slide one pad 1-3 boundary nodes.
-func (s *padTarget) Propose(rng *rand.Rand) (float64, func(), bool) {
+// PriceMove implements anneal.Target: slide one pad 1-3 boundary nodes
+// and solve the moved pad set against the cached drop of the current one.
+func (s *padTarget) PriceMove(rng *rand.Rand) (float64, bool) {
 	perim := power.Perimeter(s.g)
 	k := rng.Intn(len(s.pos))
 	step := 1 + rng.Intn(3) // 1..3 nodes per move
 	if rng.Intn(2) == 0 {
 		step = -step
 	}
-	before, err := s.drop()
+	s.pendK, s.pendPos = k, ((s.pos[k]+step)%perim+perim)%perim
+	pads := s.pads()
+	pads[k] = power.BoundaryNode(s.g, s.pendPos)
+	after, err := s.drop(pads)
 	if err != nil {
-		return 0, nil, false
+		return 0, false
 	}
-	old := s.pos[k]
-	s.pos[k] = ((old+step)%perim + perim) % perim
-	after, err := s.drop()
-	if err != nil {
-		s.pos[k] = old
-		return 0, nil, false
-	}
-	return after - before, func() { s.pos[k] = old }, true
+	s.pendDrop = after
+	return after - s.drop0, true
 }
+
+// CommitMove implements anneal.Target.
+func (s *padTarget) CommitMove() {
+	s.pos[s.pendK] = s.pendPos
+	s.drop0 = s.pendDrop
+}
+
+// RejectMove implements anneal.Target.
+func (s *padTarget) RejectMove() {}
 
 // annealPads runs the solver-driven pad-location exchange of Fig 6,
 // starting from the given pad set.
@@ -212,10 +226,11 @@ func annealPads(start []power.Pad, g power.GridSpec, seed int64, movesPerTemp in
 		}
 	}
 	st := &padTarget{pos: pos, g: g}
-	d0, err := st.drop()
+	d0, err := st.drop(st.pads())
 	if err != nil {
 		return nil, err
 	}
+	st.drop0 = d0
 	sched := anneal.Schedule{
 		InitialTemp:  0.15 * d0,
 		FinalTemp:    0.002 * d0,

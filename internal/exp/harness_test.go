@@ -5,85 +5,64 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"copack/internal/gen"
 )
 
 // The harness only changes wall clock: Table 2 must come back byte-identical
-// to the classic sequential run for every worker count.
+// to the sequential run for every worker count.
 func TestTable2WithDeterministicAcrossWorkers(t *testing.T) {
-	classic, err := Table2(3, 5)
+	ctx := context.Background()
+	seq, err := Table2(ctx, 3, 5, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		res, err := Table2With(3, 5, Harness{Workers: workers})
+	for _, workers := range []int{2, 4} {
+		res, err := Table2(ctx, 3, 5, Harness{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res, classic) {
-			t.Errorf("workers=%d: Table2With differs from Table2:\n%s\nvs\n%s",
-				workers, res.Format(), classic.Format())
+		if !reflect.DeepEqual(res, seq) {
+			t.Errorf("workers=%d: Table2 differs from the sequential run:\n%s\nvs\n%s",
+				workers, res.Format(), seq.Format())
 		}
 	}
 }
 
 // Same contract for Table 3's ten (ψ, circuit) instances.
 func TestTable3WithDeterministicAcrossWorkers(t *testing.T) {
-	ref, err := Table3With(2, Harness{Workers: 1})
+	ctx := context.Background()
+	ref, err := Table3(ctx, 2, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Table3With(2, Harness{Workers: 4})
+	res, err := Table3(ctx, 2, Harness{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Errorf("Table3With differs between workers 1 and 4:\n%s\nvs\n%s",
+		t.Errorf("Table3 differs between workers 1 and 4:\n%s\nvs\n%s",
 			res.Format(), ref.Format())
-	}
-}
-
-// The seeded random baseline draws each try from its own stream, so the
-// winner is independent of scheduling.
-func TestRandomBaselineWithDeterministic(t *testing.T) {
-	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 7})
-	refA, refS, err := RandomBaselineWith(p, 7, 12, Harness{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		a, s, err := RandomBaselineWith(p, 7, 12, Harness{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Slots, refA.Slots) {
-			t.Errorf("workers=%d: baseline assignment differs", workers)
-		}
-		if s.MaxDensity != refS.MaxDensity {
-			t.Errorf("workers=%d: baseline density %d vs %d", workers, s.MaxDensity, refS.MaxDensity)
-		}
 	}
 }
 
 // A parallel sweep emits one progress line per seed and aggregates exactly
 // like the sequential sweep.
 func TestSweepTable2WithProgressAndDeterminism(t *testing.T) {
+	ctx := context.Background()
 	seeds := Seeds(3)
-	classic, err := SweepTable2(seeds, 4)
+	seq, err := SweepTable2(ctx, seeds, 4, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lines []string
-	res, err := SweepTable2With(seeds, 4, Harness{
+	res, err := SweepTable2(ctx, seeds, 4, Harness{
 		Workers:  2,
 		Progress: func(line string) { lines = append(lines, line) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, classic) {
-		t.Errorf("parallel sweep differs from sequential:\n%s\nvs\n%s", res.Format(), classic.Format())
+	if !reflect.DeepEqual(res, seq) {
+		t.Errorf("parallel sweep differs from sequential:\n%s\nvs\n%s", res.Format(), seq.Format())
 	}
 	if len(lines) != len(seeds) {
 		t.Fatalf("got %d progress lines, want %d: %q", len(lines), len(seeds), lines)
@@ -103,7 +82,7 @@ func TestSweepContextCancelledFlushesProgress(t *testing.T) {
 	cancel()
 	var lines []string
 	h := Harness{Workers: 2, Progress: func(line string) { lines = append(lines, line) }}
-	if _, err := SweepTable2Context(ctx, Seeds(3), 2, h); err == nil {
+	if _, err := SweepTable2(ctx, Seeds(3), 2, h); err == nil {
 		t.Fatal("cancelled sweep returned nil error")
 	}
 	if len(lines) == 0 {
@@ -115,7 +94,7 @@ func TestSweepContextCancelledFlushesProgress(t *testing.T) {
 	}
 
 	lines = nil
-	if _, err := SweepTable3Context(ctx, Seeds(2), h); err == nil {
+	if _, err := SweepTable3(ctx, Seeds(2), h); err == nil {
 		t.Fatal("cancelled sweep3 returned nil error")
 	}
 	if len(lines) == 0 {
@@ -127,18 +106,19 @@ func TestSweepContextCancelledFlushesProgress(t *testing.T) {
 	}
 }
 
-// An uncancelled Context sweep equals the classic sweep bit for bit.
-func TestSweepTable3ContextMatchesWith(t *testing.T) {
+// A Table 3 sweep equals its sequential run bit for bit at any worker count.
+func TestSweepTable3DeterministicAcrossWorkers(t *testing.T) {
+	ctx := context.Background()
 	seeds := Seeds(2)
-	ref, err := SweepTable3With(seeds, Harness{Workers: 1})
+	ref, err := SweepTable3(ctx, seeds, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SweepTable3Context(context.Background(), seeds, Harness{Workers: 2})
+	res, err := SweepTable3(ctx, seeds, Harness{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Error("SweepTable3Context differs from SweepTable3With")
+		t.Error("SweepTable3 differs between workers 1 and 2")
 	}
 }

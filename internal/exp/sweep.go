@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -56,11 +57,53 @@ type SweepResult struct {
 	PerCircuitDensityDFA map[string]Dist
 }
 
-// SweepTable2 runs Table 2 for every seed and aggregates the ratios. It is
-// SweepTable2With run sequentially; the harness variant returns the
-// identical summary for any worker count.
-func SweepTable2(seeds []int64, randomTries int) (*SweepResult, error) {
-	return SweepTable2With(seeds, randomTries, Harness{Workers: 1})
+// SweepTable2 runs Table 2 for every seed, with the seeds fanned out over
+// the harness pool, and aggregates the ratios in seed order, so the
+// summary is identical for any worker count. A cancelled ctx stops
+// scheduling new seeds and the call returns the context error, after a
+// final "sweep stopped" progress tick.
+func SweepTable2(ctx context.Context, seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
+	results, err := sweepSeeds(ctx, seeds, h, "sweep", func(seed int64) (*Table2Result, error) {
+		return Table2(ctx, seed, randomTries, Harness{Workers: 1})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ReduceSweep2(seeds, results), nil
+}
+
+// ReduceSweep2 aggregates per-seed Table 2 results (results[i] belongs to
+// seeds[i]) into the sweep summary. The walk is strictly index-ordered —
+// seed-major, then row order within each seed — so the summary is a pure
+// function of the ordered result slice: it does not matter whether the
+// per-seed results were computed sequentially, by a local worker pool, or
+// by different nodes of a fleet (internal/sweep reduces shard results
+// through this exact function to make fleet size invisible in the body).
+func ReduceSweep2(seeds []int64, results []*Table2Result) *SweepResult {
+	var dIFA, dDFA, wIFA, wDFA []float64
+	perCircuit := make(map[string][]float64)
+	for _, res := range results {
+		for _, row := range res.Rows {
+			rd := float64(row.RandomDensity)
+			dIFA = append(dIFA, float64(row.IFADensity)/rd)
+			dDFA = append(dDFA, float64(row.DFADensity)/rd)
+			wIFA = append(wIFA, row.IFAWirelen/row.RandomWirelen)
+			wDFA = append(wDFA, row.DFAWirelen/row.RandomWirelen)
+			perCircuit[row.Circuit] = append(perCircuit[row.Circuit], float64(row.DFADensity)/rd)
+		}
+	}
+	out := &SweepResult{
+		Seeds:                append([]int64(nil), seeds...),
+		DensityIFA:           NewDist(dIFA),
+		DensityDFA:           NewDist(dDFA),
+		WirelenIFA:           NewDist(wIFA),
+		WirelenDFA:           NewDist(wDFA),
+		PerCircuitDensityDFA: make(map[string]Dist, len(perCircuit)),
+	}
+	for name, xs := range perCircuit {
+		out.PerCircuitDensityDFA[name] = NewDist(xs)
+	}
+	return out
 }
 
 // Format renders the sweep summary.
@@ -102,11 +145,41 @@ type Sweep3Result struct {
 	DensityGrowth Dist
 }
 
-// SweepTable3 runs Table 3 for every seed and aggregates the improvements.
-// It is SweepTable3With run sequentially; the harness variant returns the
-// identical summary for any worker count.
-func SweepTable3(seeds []int64) (*Sweep3Result, error) {
-	return SweepTable3With(seeds, Harness{Workers: 1})
+// SweepTable3 runs Table 3 for every seed and aggregates the improvements;
+// see SweepTable2 for the determinism and cancellation contract (its final
+// tick reads "sweep3 stopped").
+func SweepTable3(ctx context.Context, seeds []int64, h Harness) (*Sweep3Result, error) {
+	results, err := sweepSeeds(ctx, seeds, h, "sweep3", func(seed int64) (*Table3Result, error) {
+		return Table3(ctx, seed, Harness{Workers: 1})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ReduceSweep3(seeds, results), nil
+}
+
+// ReduceSweep3 aggregates per-seed Table 3 results in strict index order;
+// see ReduceSweep2 for why the ordering makes the reduction placement- and
+// schedule-independent.
+func ReduceSweep3(seeds []int64, results []*Table3Result) *Sweep3Result {
+	ir := map[int][]float64{}
+	var bond, growth []float64
+	for _, res := range results {
+		for _, row := range res.Rows {
+			ir[row.Psi] = append(ir[row.Psi], row.IRImprovedPct)
+			growth = append(growth, float64(row.DensityAfterExchange-row.DensityAfterDFA))
+			if row.Psi > 1 {
+				bond = append(bond, row.BondImprovedPct)
+			}
+		}
+	}
+	out := &Sweep3Result{Seeds: append([]int64(nil), seeds...), IRPct: map[int]Dist{}}
+	for psi, xs := range ir {
+		out.IRPct[psi] = NewDist(xs)
+	}
+	out.BondPct = NewDist(bond)
+	out.DensityGrowth = NewDist(growth)
+	return out
 }
 
 // Format renders the Table 3 sweep summary.

@@ -33,6 +33,7 @@
 package sweep
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -125,6 +126,10 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 	case len(r.Seeds) > 0:
 		sp.Seeds = append([]int64(nil), r.Seeds...)
 	case r.NumSeeds > 0:
+		// Checked before exp.Seeds sizes a slice by it.
+		if maxSeeds > 0 && r.NumSeeds > maxSeeds {
+			return nil, errf(http.StatusBadRequest, "%d seeds exceed the %d-unit cap", r.NumSeeds, maxSeeds)
+		}
 		sp.Seeds = exp.Seeds(r.NumSeeds)
 	case r.NumSeeds < 0:
 		return nil, errf(http.StatusBadRequest, "num_seeds must be >= 0, got %d", r.NumSeeds)
@@ -186,16 +191,16 @@ func (sp *Spec) UnitKey(i int) string {
 // would oversubscribe), and progress, when non-nil, receives the
 // harness's per-row progress lines.
 func RunUnit(sp *Spec, i int, progress func(line string)) (json.RawMessage, error) {
-	h := exp.Harness{Workers: 1, Progress: progress}
+	ctx, h := context.Background(), exp.Harness{Workers: 1, Progress: progress}
 	switch sp.Kind {
 	case KindTable2:
-		res, err := exp.Table2With(sp.Seeds[i], sp.RandomTries, h)
+		res, err := exp.Table2(ctx, sp.Seeds[i], sp.RandomTries, h)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(res)
 	case KindTable3:
-		res, err := exp.Table3With(sp.Seeds[i], h)
+		res, err := exp.Table3(ctx, sp.Seeds[i], h)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +102,39 @@ func TestNormalizeTable(t *testing.T) {
 	}
 }
 
+// Regression: a huge num_seeds must be rejected against the unit cap
+// before anything is sized by it — not after allocating the seed list
+// (hundreds of MB for 5e7) or panicking in makeslice (1<<62).
+func TestNormalizeCapsNumSeedsBeforeAllocating(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"5e7", `{"kind":"table3","num_seeds":50000000}`},
+		{"2^62", `{"kind":"table2","num_seeds":4611686018427387904}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Normalize panicked: %v", r)
+				}
+			}()
+			req, err := DecodeRequest(strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = req.Normalize(64)
+			runtime.ReadMemStats(&after)
+			var he *HTTPError
+			if !errors.As(err, &he) || he.Status != 400 {
+				t.Fatalf("want a 400 *HTTPError, got %#v", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("rejecting the request allocated %d bytes, want < 1 MB", alloc)
+			}
+		})
+	}
+}
+
 func TestNormalizeDefaultsAreCanonical(t *testing.T) {
 	// num_seeds 2 and seeds [1,2], default and explicit tries, all
 	// normalize to the same spec (and so the same unit keys).
@@ -174,14 +208,14 @@ func TestStandaloneSweepMatchesHarness(t *testing.T) {
 	}
 	// The distributed reduction must agree with the single-process
 	// harness sweep: same seeds, same aggregation.
-	want, err := exp.SweepTable2With(sp.Seeds, sp.RandomTries, exp.Harness{Workers: 1})
+	want, err := exp.SweepTable2(context.Background(), sp.Seeds, sp.RandomTries, exp.Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := json.Marshal(body.Table2)
 	ref, _ := json.Marshal(want)
 	if !bytes.Equal(got, ref) {
-		t.Errorf("sweep body diverges from exp.SweepTable2With:\n got %s\nwant %s", got, ref)
+		t.Errorf("sweep body diverges from exp.SweepTable2:\n got %s\nwant %s", got, ref)
 	}
 	if body.Summary != want.Format() {
 		t.Error("summary diverges from the harness rendering")
