@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"copack/internal/faultinject"
+	"copack/internal/jobs"
 	"copack/internal/obs"
 	"copack/internal/service"
 )
@@ -362,14 +363,11 @@ func (rt *Router) routeJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // nodeForJob extracts the owning node from a prefixed job or sweep ID
-// ("b-j00000042" → "b", "b-s00000007" → "b"). Unprefixed or
-// unknown-prefix IDs are treated as local, where the service's own 404 is
-// the right answer.
+// ("b-j00000042" → "b", "b-s00000007" → "b"; see jobs.NodeOf).
+// Unprefixed or unknown-prefix IDs are treated as local, where the
+// service's own 404 is the right answer.
 func (rt *Router) nodeForJob(id string) string {
-	node, rest, ok := strings.Cut(id, "-")
-	if !ok || (!strings.HasPrefix(rest, "j") && !strings.HasPrefix(rest, "s")) {
-		return ""
-	}
+	node := jobs.NodeOf(id)
 	if _, known := rt.cfg.Nodes[node]; !known {
 		return ""
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"copack/internal/jobs"
 )
 
 // Cache-status header: "hit" when the body replayed from the
@@ -30,6 +32,13 @@ const cacheHeader = "X-Copack-Cache"
 //	GET    /sweeps/{id}/result the deterministic reduced sweep body
 //	DELETE /sweeps/{id}        cancel the sweep
 //	POST   /sweeps/shard       internal fleet hop: execute a unit batch
+//	                           (strict decode, distinct unit indices)
+//
+// Async plan jobs (/jobs) and sweeps (/sweeps) follow one lifecycle
+// (internal/jobs): queued → running → done|failed, or canceled; a sweep
+// starts running at submission. IDs carry the node prefix when NodeID is
+// set, and finished jobs stay pollable until retention forgets them
+// (then 404).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -161,10 +170,10 @@ func (s *Server) writePlanBody(w http.ResponseWriter, body []byte, hit bool) {
 
 // submitResponse is the 202 body of POST /jobs.
 type submitResponse struct {
-	ID        string   `json:"id"`
-	State     JobState `json:"state"`
-	StatusURL string   `json:"status_url"`
-	ResultURL string   `json:"result_url"`
+	ID        string     `json:"id"`
+	State     jobs.State `json:"state"`
+	StatusURL string     `json:"status_url"`
+	ResultURL string     `json:"result_url"`
 }
 
 // handleSubmit enqueues an async job. Cache hits skip the queue entirely:
@@ -174,33 +183,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var j *job
+	var (
+		j   *jobs.Job
+		run func()
+	)
 	if body, hit := s.cache.get(spec.key); hit {
-		j = newDoneJob(spec, body)
-		if err := s.registerDone(j); err != nil {
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
+		j = jobs.NewDone(body)
 	} else {
-		j = newJob(s.baseCtx, spec)
-		switch err := s.submit(j); {
-		case errors.Is(err, errQueueFull):
-			s.rec.Add("jobs/rejected", 1)
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusTooManyRequests, "job queue full; retry later")
-			return
-		case errors.Is(err, errDraining):
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
+		j = jobs.New(s.baseCtx, 0)
+		run = func() { s.runPlan(j, spec) }
 	}
+	switch err := s.submit(j, run); {
+	case errors.Is(err, errQueueFull):
+		s.rec.Add("jobs/rejected", 1)
+		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		s.setQueueHeader(w)
+		errorBody(w, http.StatusTooManyRequests, "job queue full; retry later")
+		return
+	case errors.Is(err, errDraining):
+		s.setQueueHeader(w)
+		errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
+		return
+	}
+	view := j.Snapshot()
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/jobs/"+j.id)
+	w.Header().Set("Location", "/jobs/"+view.ID)
 	w.WriteHeader(http.StatusAccepted)
-	view := j.snapshot()
 	body, _ := json.Marshal(submitResponse{
 		ID:        view.ID,
 		State:     view.State,
@@ -212,15 +220,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // statusResponse is the body of GET /jobs/{id}.
 type statusResponse struct {
-	ID        string   `json:"id"`
-	State     JobState `json:"state"`
-	Error     string   `json:"error,omitempty"`
-	Cache     string   `json:"cache,omitempty"`
-	ResultURL string   `json:"result_url,omitempty"`
+	ID        string     `json:"id"`
+	State     jobs.State `json:"state"`
+	Error     string     `json:"error,omitempty"`
+	Cache     string     `json:"cache,omitempty"`
+	ResultURL string     `json:"result_url,omitempty"`
 }
 
-func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *job {
-	j := s.lookup(r.PathValue("id"))
+func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *jobs.Job {
+	j := s.plans.Lookup(r.PathValue("id"))
 	if j == nil {
 		errorBody(w, http.StatusNotFound, "unknown job id")
 	}
@@ -232,9 +240,9 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	view := j.snapshot()
+	view := j.Snapshot()
 	resp := statusResponse{ID: view.ID, State: view.State, Error: view.ErrMsg}
-	if view.State == JobDone {
+	if view.State == jobs.Done {
 		resp.ResultURL = "/jobs/" + view.ID + "/result"
 		if view.CacheHit {
 			resp.Cache = "hit"
@@ -252,11 +260,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	view := j.snapshot()
+	view := j.Snapshot()
 	switch view.State {
-	case JobDone:
+	case jobs.Done:
 		s.writePlanBody(w, view.Body, view.CacheHit)
-	case JobFailed, JobCanceled:
+	case jobs.Failed, jobs.Canceled:
 		errorBody(w, view.Status, view.ErrMsg)
 	default:
 		errorBody(w, http.StatusConflict, "job not finished; poll /jobs/"+view.ID)
@@ -268,8 +276,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	state := j.requestCancel()
+	state := j.Cancel(errCanceledByClient)
 	w.Header().Set("Content-Type", "application/json")
-	body, _ := json.Marshal(statusResponse{ID: j.id, State: state})
+	body, _ := json.Marshal(statusResponse{ID: j.ID, State: state})
 	w.Write(append(body, '\n'))
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"copack"
+	"copack/internal/jobs"
 )
 
 // testServer couples a Server with an httptest front end and cleans both
@@ -106,13 +107,13 @@ func (s *testServer) awaitJob(t *testing.T, id string) []byte {
 			t.Fatalf("status body: %v", err)
 		}
 		switch st.State {
-		case JobDone:
+		case jobs.Done:
 			resp, body := s.get(t, "/jobs/"+id+"/result")
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("result %s: %d: %s", id, resp.StatusCode, body)
 			}
 			return body
-		case JobFailed, JobCanceled:
+		case jobs.Failed, jobs.Canceled:
 			t.Fatalf("job %s reached %s: %s", id, st.State, st.Error)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -346,7 +347,7 @@ func TestJobLifecycleAndCancel(t *testing.T) {
 	if err := json.Unmarshal(ddata, &dst); err != nil {
 		t.Fatal(err)
 	}
-	if dst.State != JobCanceled {
+	if dst.State != jobs.Canceled {
 		t.Errorf("canceled queued job state = %s", dst.State)
 	}
 
@@ -421,11 +422,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	// Both jobs are terminal: nothing was lost in the drain.
 	for _, id := range []string{sub1.ID, sub2.ID} {
-		j := svc.lookup(id)
+		j := svc.plans.Lookup(id)
 		if j == nil {
 			t.Fatalf("job %s forgotten during drain", id)
 		}
-		if st := j.snapshot().State; !st.terminal() {
+		if st := j.Snapshot().State; !st.Terminal() {
 			t.Errorf("job %s state %s after drain, want terminal", id, st)
 		}
 	}

@@ -66,14 +66,14 @@ func TestRequestBodyCapOverHTTP(t *testing.T) {
 // pressure: base at idle, 5× base when the queue is full.
 func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	s := &Server{cfg: Config{QueueDepth: 8, RetryAfter: 2 * time.Second}.withDefaults()}
-	s.queue = make(chan *job, s.cfg.QueueDepth)
+	s.queue = make(chan func(), s.cfg.QueueDepth)
 
 	fill := func(n int) {
 		for len(s.queue) > 0 {
 			<-s.queue
 		}
 		for i := 0; i < n; i++ {
-			s.queue <- &job{}
+			s.queue <- func() {}
 		}
 	}
 	cases := []struct {
@@ -93,7 +93,7 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 
 	// Sub-second bases round up to 1 so the header is never "0".
 	s2 := &Server{cfg: Config{QueueDepth: 8, RetryAfter: 100 * time.Millisecond}.withDefaults()}
-	s2.queue = make(chan *job, s2.cfg.QueueDepth)
+	s2.queue = make(chan func(), s2.cfg.QueueDepth)
 	if got := s2.retryAfterSeconds(); got != "1" {
 		t.Errorf("sub-second base: Retry-After %s, want 1", got)
 	}
@@ -151,5 +151,47 @@ func TestNodeIDPrefixesJobIDs(t *testing.T) {
 	}
 	if !strings.HasPrefix(sub.ID, "j") || strings.Contains(sub.ID, "-") {
 		t.Errorf("standalone job id %q, want bare jNNNNNNNN", sub.ID)
+	}
+}
+
+// TestCacheHitJobsCountAgainstRetention: a cache-hit submission is born
+// done, and it must enter the same retention list as computed jobs — 200
+// cached submits under MaxJobsRetained 4 leave at most 4 jobs pollable,
+// the newest among them.
+func TestCacheHitJobsCountAgainstRetention(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1, MaxJobsRetained: 4})
+	body := planBody(t, testDesign(t, 24, 3), RequestOptions{SkipExchange: true})
+	first, _ := srv.submitAndAwait(t, body)
+	ids := []string{first}
+	for i := 0; i < 200; i++ {
+		resp, data := srv.post(t, "/jobs", body)
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get(cacheHeader) != "" {
+			t.Fatalf("cached submit %d: %d: %s", i, resp.StatusCode, data)
+		}
+		var sub submitResponse
+		if err := json.Unmarshal(data, &sub); err != nil {
+			t.Fatal(err)
+		}
+		if sub.State != "done" {
+			t.Fatalf("cached submit %d born %s, want done", i, sub.State)
+		}
+		ids = append(ids, sub.ID)
+	}
+	retained := 0
+	for _, id := range ids {
+		resp, data := srv.get(t, "/jobs/"+id)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			retained++
+		case http.StatusNotFound:
+		default:
+			t.Fatalf("poll %s: %d: %s", id, resp.StatusCode, data)
+		}
+	}
+	if retained > 4 {
+		t.Errorf("%d of %d jobs retained, want <= 4", retained, len(ids))
+	}
+	if resp, _ := srv.get(t, "/jobs/"+ids[len(ids)-1]+"/result"); resp.StatusCode != http.StatusOK {
+		t.Errorf("newest job result: %d, want 200", resp.StatusCode)
 	}
 }

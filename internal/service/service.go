@@ -8,10 +8,11 @@
 // IR-drop numbers and (on request) an obs metrics snapshot. Three
 // properties are load-bearing:
 //
-//   - Backpressure, never unbounded goroutines. Async submissions go
-//     through a fixed-depth queue; when it is full the server answers
-//     429 + Retry-After instead of queueing in memory. The synchronous
-//     /plan fast path is bounded by its own semaphore the same way.
+//   - Backpressure, never unbounded goroutines. Async plan jobs and sweep
+//     units share one fixed-depth queue of closures; when it is full the
+//     server answers 429 + Retry-After instead of queueing in memory. The
+//     synchronous /plan fast path is bounded by its own semaphore the
+//     same way.
 //
 //   - Content-addressed caching. Results are cached under
 //     hash(canonical design text + normalized options), so byte-different
@@ -25,6 +26,12 @@
 //     count and cache state never touch it, so the same request body
 //     yields a byte-identical solution body however it is scheduled. The
 //     golden tests in http_test.go lock this down.
+//
+// Async plan jobs and sweeps share one lifecycle (internal/jobs): a job
+// table per kind mints node-prefixed IDs ("a-j00000001", "a-s00000001"),
+// keeps every queued or running job pollable, forgets the oldest finished
+// ones beyond MaxJobsRetained / SweepRetained (cache hits, born done,
+// count too), and drains on Shutdown.
 //
 // See cmd/fpserved for the binary and DESIGN.md for why determinism holds
 // across queue interleavings.
@@ -41,6 +48,7 @@ import (
 	"time"
 
 	"copack"
+	"copack/internal/jobs"
 	"copack/internal/obs"
 	"copack/internal/sweep"
 )
@@ -73,7 +81,8 @@ type Config struct {
 	// throughput. Default 1 (jobs are the unit of parallelism here).
 	PlanWorkers int
 	// MaxJobsRetained bounds the finished-job history kept for polling;
-	// the oldest finished jobs are forgotten first. Default 1024.
+	// the oldest finished jobs are forgotten first, and cache hits (born
+	// done) count like computed jobs. Default 1024.
 	MaxJobsRetained int
 	// RetryAfter is the base Retry-After hint attached to 429 responses;
 	// the rendered hint scales up with current queue depth (see
@@ -149,15 +158,14 @@ type Server struct {
 	baseCtx    context.Context // canceled on Shutdown: running jobs wind down
 	baseCancel context.CancelFunc
 
-	queue   chan *job
+	plans *jobs.Table[*jobs.Job] // async plan jobs (internal/jobs)
+
+	queue   chan func()   // plan jobs and sweep units, run by the workers
 	syncSem chan struct{} // bounds concurrent synchronous /plan work
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool // no new submissions; queue is (being) closed
-	jobs     map[string]*job
-	nextID   int64
-	finished []string // finished job IDs, oldest first, for retention
+	mu     sync.Mutex
+	closed bool // no new submissions; queue is (being) closed
 
 	// testHookJobStart, when non-nil, runs at the top of every worker
 	// job execution. Tests use it to hold workers busy so queue-full
@@ -174,9 +182,9 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: col,
 		rec:     obs.WithPrefix(col, "service/"),
-		queue:   make(chan *job, cfg.QueueDepth),
+		plans:   jobs.NewTable[*jobs.Job](cfg.NodeID, jobs.PlanLetter, cfg.MaxJobsRetained),
+		queue:   make(chan func(), cfg.QueueDepth),
 		syncSem: make(chan struct{}, cfg.SyncConcurrency),
-		jobs:    make(map[string]*job),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cache = newResultCache(cfg.CacheEntries, s.rec)
@@ -220,8 +228,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// they are already winding down; Drain waits until each has emitted
 	// its terminal canceled event. Their queued unit closures still run
 	// (instantly, under the canceled context) because the workers below
-	// drain the closed queue fully before exiting.
+	// drain the closed queue fully before exiting — which is also how
+	// every queued plan job reaches its terminal state.
 	if err := s.sweeps.Drain(ctx); err != nil {
+		return err
+	}
+	if err := s.plans.Drain(ctx, errDraining); err != nil {
 		return err
 	}
 
@@ -245,99 +257,62 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// submit registers j and enqueues it. It returns errQueueFull when the
-// queue has no room and errDraining once Shutdown began; in both cases
-// the job was not registered.
-func (s *Server) submit(j *job) error {
+// submit registers j and, unless it is born done, enqueues run to
+// execute it. It returns errQueueFull when the queue has no room and
+// errDraining once Shutdown began; in both cases the job was not
+// registered and consumed no ID. Registration happens under s.mu, which
+// Shutdown takes before draining the job table, so an admitted job is
+// always registered.
+func (s *Server) submit(j *jobs.Job, run func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if run != nil {
+		if err := s.offer(run); err != nil {
+			return err
+		}
+	} else if s.closed {
+		return errDraining
+	}
+	_ = s.plans.Add(j) // cannot fail: Shutdown sets s.closed before it drains the table
+	s.rec.Add("jobs/submitted", 1)
+	return nil
+}
+
+// offer puts run on the queue without blocking. Caller holds s.mu.
+func (s *Server) offer(run func()) error {
 	if s.closed {
 		return errDraining
 	}
 	select {
-	case s.queue <- j:
+	case s.queue <- run:
+		s.rec.Set("queue/depth", float64(len(s.queue)))
+		return nil
 	default:
 		return errQueueFull
-	}
-	s.register(j)
-	s.rec.Add("jobs/submitted", 1)
-	s.rec.Set("queue/depth", float64(len(s.queue)))
-	return nil
-}
-
-// registerDone registers a job that is already terminal (a cache hit):
-// it never touches the queue.
-func (s *Server) registerDone(j *job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errDraining
-	}
-	s.register(j)
-	s.rec.Add("jobs/submitted", 1)
-	return nil
-}
-
-// register assigns an ID and stores the job. Caller holds s.mu.
-func (s *Server) register(j *job) {
-	s.nextID++
-	if s.cfg.NodeID != "" {
-		j.id = fmt.Sprintf("%s-j%08d", s.cfg.NodeID, s.nextID)
-	} else {
-		j.id = fmt.Sprintf("j%08d", s.nextID)
-	}
-	s.jobs[j.id] = j
-}
-
-// lookup returns the job with the given ID, or nil.
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-// finish records a job reaching a terminal state and prunes the oldest
-// finished jobs beyond the retention bound so the job map cannot grow
-// without limit under sustained traffic.
-func (s *Server) finish(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.cfg.MaxJobsRetained {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
 	}
 }
 
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
+	for run := range s.queue {
 		s.rec.Set("queue/depth", float64(len(s.queue)))
 		if s.testHookJobStart != nil {
 			s.testHookJobStart()
 		}
-		s.runJob(j)
+		run()
 	}
 }
 
 // enqueueFunc is the sweep manager's path onto the job queue: sweep units
 // compete with plans for the same bounded capacity, so one backpressure
 // budget governs both workloads. Never blocks; the manager owns the
-// retry policy.
+// retry policy. The closure runs with ctx once dequeued — even when ctx
+// is canceled, so the manager waiting on it cannot leak.
 func (s *Server) enqueueFunc(ctx context.Context, fn func(ctx context.Context)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return sweep.ErrDraining
-	}
-	select {
-	case s.queue <- newFuncJob(ctx, fn):
-		s.rec.Set("queue/depth", float64(len(s.queue)))
-		return nil
-	default:
-		return sweep.ErrQueueFull
-	}
+	return s.offer(func() { fn(ctx) })
 }
 
 // QueueInfo reports the job queue's current depth and capacity plus
@@ -353,29 +328,21 @@ func (s *Server) QueueInfo() (depth, capacity int, draining bool) {
 // dispatcher and serve forwarded shards.
 func (s *Server) Sweeps() *sweep.Manager { return s.sweeps }
 
-// runJob executes one queued job to a terminal state. Func jobs (sweep
-// units) carry their own lifecycle; everything else is a plan.
-func (s *Server) runJob(j *job) {
-	if j.runFn != nil {
-		j.runFn(j.runCtx)
-		return
-	}
-	if !j.begin() {
+// runPlan executes one queued plan job to a terminal state.
+func (s *Server) runPlan(j *jobs.Job, spec *planSpec) {
+	if !j.Start() {
 		// Canceled while queued: terminal already.
 		s.rec.Add("jobs/canceled", 1)
-		s.finish(j)
 		return
 	}
-	body, status, errMsg := s.plan(j.ctx, j.spec)
-	switch {
-	case errMsg == "":
-		j.complete(body, status)
+	body, status, errMsg := s.plan(j.Context(), spec)
+	if errMsg == "" {
 		s.rec.Add("jobs/completed", 1)
-	default:
-		j.fail(status, errMsg)
-		s.rec.Add("jobs/failed", 1)
+		j.Finish(jobs.Done, status, body, "")
+		return
 	}
-	s.finish(j)
+	s.rec.Add("jobs/failed", 1)
+	j.Finish(jobs.Failed, status, nil, errMsg)
 }
 
 // plan runs one planning job and renders its response body. On success it
@@ -427,10 +394,13 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 	return body, 200, ""
 }
 
-// sentinel submission outcomes.
+// Sentinel submission outcomes — the sweep manager's, so its Enqueue
+// needs no translation — plus the cause DELETE attaches to a job (a
+// sweep's canceled event names it).
 var (
-	errQueueFull = errors.New("service: job queue full")
-	errDraining  = errors.New("service: shutting down")
+	errQueueFull        = sweep.ErrQueueFull
+	errDraining         = sweep.ErrDraining
+	errCanceledByClient = errors.New("canceled by client")
 )
 
 // retryAfterSeconds renders the Retry-After hint (whole seconds, min 1).

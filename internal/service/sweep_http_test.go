@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"copack"
+	"copack/internal/jobs"
 	"copack/internal/sweep"
 )
 
@@ -140,7 +141,7 @@ func TestSweepSSEStreamDeterministicShape(t *testing.T) {
 			return false
 		}
 		var st struct {
-			State sweep.State `json:"state"`
+			State jobs.State `json:"state"`
 		}
 		json.Unmarshal(data, &st)
 		return st.State.Terminal()
@@ -213,10 +214,10 @@ func TestSweepClientDisconnectLeaksNothing(t *testing.T) {
 	waitFor(t, func() bool {
 		_, data := s.get(t, "/sweeps/"+id)
 		var st struct {
-			State sweep.State `json:"state"`
+			State jobs.State `json:"state"`
 		}
 		json.Unmarshal(data, &st)
-		return st.State == sweep.StateDone
+		return st.State == jobs.Done
 	})
 }
 
@@ -401,7 +402,7 @@ func TestPlanPortfolioOption(t *testing.T) {
 
 // pollSweepState polls GET /sweeps/{id} until the state is terminal and
 // returns the final status body.
-func pollSweepState(t *testing.T, s *testServer, id string) (sweep.State, []byte) {
+func pollSweepState(t *testing.T, s *testServer, id string) (jobs.State, []byte) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -410,7 +411,7 @@ func pollSweepState(t *testing.T, s *testServer, id string) (sweep.State, []byte
 			t.Fatalf("GET /sweeps/%s: %d: %s", id, resp.StatusCode, data)
 		}
 		var st struct {
-			State sweep.State `json:"state"`
+			State jobs.State `json:"state"`
 		}
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatal(err)
@@ -446,8 +447,8 @@ func TestSweepCancelEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st struct {
-		ID    string      `json:"id"`
-		State sweep.State `json:"state"`
+		ID    string     `json:"id"`
+		State jobs.State `json:"state"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -459,7 +460,7 @@ func TestSweepCancelEndpoint(t *testing.T) {
 
 	close(gate)
 	state, _ := pollSweepState(t, s, id)
-	if state != sweep.StateCanceled {
+	if state != jobs.Canceled {
 		t.Fatalf("state %s, want canceled", state)
 	}
 	respRes, dataRes := s.get(t, "/sweeps/"+id+"/result")
@@ -557,5 +558,30 @@ func TestMetricsRecorderFeedsSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"external/counter"`) {
 		t.Fatalf("metrics missing externally recorded counter: %s", data)
+	}
+}
+
+// TestSweepShardStrictDecode: the shard hop decodes as strictly as POST
+// /sweeps — one JSON object, body cap answered 413 — and refuses a shard
+// that lists a unit twice before running anything.
+func TestSweepShardStrictDecode(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 512, SweepHeartbeat: time.Hour})
+	one := `{"spec":{"kind":"table2","seeds":[1,2],"random_tries":2},"units":[0]}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"trailing object", one + one, http.StatusBadRequest},
+		{"duplicate units", `{"spec":{"kind":"table2","seeds":[1,2],"random_tries":2},"units":[1,0,1]}`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		{"oversized", `{"spec":{"kind":"table2","seeds":[` + strings.Repeat("1,", 400) + `1]},"units":[0]}`, http.StatusRequestEntityTooLarge},
+	} {
+		resp, data := s.post(t, "/sweeps/shard", c.body)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, data, c.want)
+		}
+	}
+	if c := s.svc.MetricsSnapshot().Counters["sweep/shards/served"]; c != 0 {
+		t.Errorf("%v shards served, want 0", c)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"copack/internal/jobs"
 	"copack/internal/sweep"
 )
 
@@ -53,12 +54,12 @@ func (s *Server) writeSweepError(w http.ResponseWriter, err error) {
 
 // sweepSubmitResponse is the 202 body of POST /sweeps.
 type sweepSubmitResponse struct {
-	ID        string      `json:"id"`
-	State     sweep.State `json:"state"`
-	Units     int         `json:"units"`
-	StatusURL string      `json:"status_url"`
-	EventsURL string      `json:"events_url"`
-	ResultURL string      `json:"result_url"`
+	ID        string     `json:"id"`
+	State     jobs.State `json:"state"`
+	Units     int        `json:"units"`
+	StatusURL string     `json:"status_url"`
+	EventsURL string     `json:"events_url"`
+	ResultURL string     `json:"result_url"`
 }
 
 // handleSweepSubmit accepts a sweep: decode strictly, normalize, start
@@ -98,12 +99,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // sweepStatusResponse is the body of GET /sweeps/{id} and DELETE
 // /sweeps/{id}.
 type sweepStatusResponse struct {
-	ID         string      `json:"id"`
-	State      sweep.State `json:"state"`
-	UnitsDone  int         `json:"units_done"`
-	UnitsTotal int         `json:"units_total"`
-	Error      string      `json:"error,omitempty"`
-	ResultURL  string      `json:"result_url,omitempty"`
+	ID         string     `json:"id"`
+	State      jobs.State `json:"state"`
+	UnitsDone  int        `json:"units_done"`
+	UnitsTotal int        `json:"units_total"`
+	Error      string     `json:"error,omitempty"`
+	ResultURL  string     `json:"result_url,omitempty"`
 }
 
 func (s *Server) sweepFromPath(w http.ResponseWriter, r *http.Request) *sweep.Job {
@@ -114,7 +115,7 @@ func (s *Server) sweepFromPath(w http.ResponseWriter, r *http.Request) *sweep.Jo
 	return j
 }
 
-func sweepStatus(view sweep.View) sweepStatusResponse {
+func sweepStatus(view jobs.View) sweepStatusResponse {
 	resp := sweepStatusResponse{
 		ID:         view.ID,
 		State:      view.State,
@@ -122,7 +123,7 @@ func sweepStatus(view sweep.View) sweepStatusResponse {
 		UnitsTotal: view.UnitsTotal,
 		Error:      view.ErrMsg,
 	}
-	if view.State == sweep.StateDone {
+	if view.State == jobs.Done {
 		resp.ResultURL = "/sweeps/" + view.ID + "/result"
 	}
 	return resp
@@ -145,12 +146,12 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	}
 	view := j.Snapshot()
 	switch view.State {
-	case sweep.StateDone:
+	case jobs.Done:
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(view.Body)
-	case sweep.StateFailed:
+	case jobs.Failed:
 		errorBody(w, http.StatusInternalServerError, view.ErrMsg)
-	case sweep.StateCanceled:
+	case jobs.Canceled:
 		errorBody(w, http.StatusConflict, "sweep canceled: "+view.ErrMsg)
 	default:
 		errorBody(w, http.StatusConflict, "sweep not finished; poll /sweeps/"+view.ID+" or stream /sweeps/"+view.ID+"/events")
@@ -162,7 +163,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.Cancel(errors.New("canceled by client"))
+	j.Cancel(errCanceledByClient)
 	// Cancellation is asynchronous: in-flight units finish, then the
 	// coordinator emits the terminal canceled event. Report the state as
 	// it stands; clients watch the event stream for the terminal event.
@@ -233,11 +234,9 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	var sr sweep.ShardRequest
-	if err := dec.Decode(&sr); err != nil {
-		errorBody(w, http.StatusBadRequest, fmt.Sprintf("decoding shard request: %v", err))
+	sr, err := sweep.DecodeShardRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeSweepError(w, err)
 		return
 	}
 	// The shard obeys both the coordinator (request context: its
@@ -248,7 +247,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	resp, err := s.sweeps.RunShardLocal(ctx, &sr)
+	resp, err := s.sweeps.RunShardLocal(ctx, sr)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.setQueueHeader(w)

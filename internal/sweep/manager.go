@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"copack/internal/jobs"
 	"copack/internal/obs"
 )
 
@@ -19,8 +20,8 @@ import (
 // sweep should wind down to a canceled terminal event.
 type Enqueue func(ctx context.Context, fn func(ctx context.Context)) error
 
-// Sentinel outcomes of an Enqueue attempt. The service layer maps its own
-// queue sentinels onto these.
+// Sentinel outcomes of an Enqueue attempt. The service's job queue
+// returns these for plan submissions too.
 var (
 	ErrQueueFull = errors.New("sweep: execution queue full")
 	ErrDraining  = errors.New("sweep: host draining")
@@ -98,32 +99,51 @@ func (c Config) withDefaults() Config {
 // absorbs backpressure by waiting where plans shed 429s.
 const enqueueRetryDelay = 2 * time.Millisecond
 
-// Manager owns a node's sweep jobs: it accepts specs, runs a coordinator
-// goroutine per job, and serves lookups for the polling/streaming
+// Event, EventType and the Event* constants are the job event log's
+// (internal/jobs); a sweep's /sweeps/{id}/events stream serializes them.
+type (
+	Event     = jobs.Event
+	EventType = jobs.EventType
+)
+
+// Sweep event types.
+const (
+	EventProgress = jobs.EventProgress
+	EventLog      = jobs.EventLog
+	EventDone     = jobs.EventDone
+	EventFailed   = jobs.EventFailed
+	EventCanceled = jobs.EventCanceled
+)
+
+// Job is one sweep: its lifecycle record (ID "s00000001", node-prefixed
+// to "a-s00000001" in a fleet) next to its spec.
+type Job struct {
+	*jobs.Job
+	spec *Spec
+}
+
+// Spec returns the job's normalized sweep spec.
+func (j *Job) Spec() *Spec { return j.spec }
+
+// Manager runs a node's sweeps: it accepts specs, runs a coordinator
+// goroutine per sweep, and serves lookups for the polling/streaming
 // handlers. All methods are safe for concurrent use.
 type Manager struct {
-	cfg Config
-	rec obs.Recorder
+	cfg   Config
+	rec   obs.Recorder
+	table *jobs.Table[*Job]
 
 	dispMu sync.RWMutex
 	disp   Dispatcher
-
-	mu       sync.Mutex
-	closed   bool
-	jobs     map[string]*Job
-	nextID   int64
-	finished []string
-
-	wg sync.WaitGroup
 }
 
 // NewManager builds a Manager.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
-		cfg:  cfg,
-		rec:  obs.OrNop(cfg.Recorder),
-		jobs: make(map[string]*Job),
+		cfg:   cfg,
+		rec:   obs.OrNop(cfg.Recorder),
+		table: jobs.NewTable[*Job](cfg.NodeID, jobs.SweepLetter, cfg.MaxRetained),
 	}
 }
 
@@ -147,92 +167,50 @@ func (m *Manager) MaxSeeds() int { return m.cfg.MaxSeeds }
 // Submit registers a sweep and starts its coordinator. base should be the
 // host's drain context so Shutdown cancels every sweep.
 func (m *Manager) Submit(base context.Context, sp *Spec) (*Job, error) {
-	j := newJob(base, sp)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	j := &Job{Job: jobs.New(base, len(sp.Seeds)), spec: sp}
+	j.Start() // a sweep has no queued phase: its units queue instead
+	if err := m.table.Add(j); err != nil {
+		j.Cancel(ErrDraining)
 		return nil, ErrDraining
 	}
-	m.nextID++
-	if m.cfg.NodeID != "" {
-		j.ID = fmt.Sprintf("%s-s%08d", m.cfg.NodeID, m.nextID)
-	} else {
-		j.ID = fmt.Sprintf("s%08d", m.nextID)
-	}
-	m.jobs[j.ID] = j
-	m.wg.Add(1)
-	m.mu.Unlock()
 	m.rec.Add("jobs/submitted", 1)
 	go m.run(j)
 	return j, nil
 }
 
 // Lookup returns the job with the given ID, or nil.
-func (m *Manager) Lookup(id string) *Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobs[id]
-}
-
-// finish records a terminal job and prunes the oldest finished sweeps
-// beyond the retention bound.
-func (m *Manager) finish(j *Job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finished = append(m.finished, j.ID)
-	for len(m.finished) > m.cfg.MaxRetained {
-		delete(m.jobs, m.finished[0])
-		m.finished = m.finished[1:]
-	}
-}
+func (m *Manager) Lookup(id string) *Job { return m.table.Lookup(id) }
 
 // Drain stops the manager: new submissions are rejected, every running
 // sweep is canceled (its stream gets a clean terminal event naming the
-// drain), and the call waits for the coordinators to wind down or ctx to
+// drain), and the call waits for the coordinators to finish or ctx to
 // expire. Idempotent.
 func (m *Manager) Drain(ctx context.Context) error {
-	m.mu.Lock()
-	m.closed = true
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.Cancel(errServerDraining)
-	}
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("sweep: drain: %w", ctx.Err())
-	}
+	return m.table.Drain(ctx, errServerDraining)
 }
 
 // run is the coordinator: place units, fan shards out, degrade failures
 // to local computation, reduce in index order, terminate the event log.
+// The coordinator is the only goroutine that finishes a sweep, so the
+// counter it records names the terminal state.
 func (m *Manager) run(j *Job) {
-	defer m.wg.Done()
-	m.execute(j)
-	m.finish(j)
-	switch j.Snapshot().State {
-	case StateDone:
+	st, body, msg := m.execute(j)
+	switch st {
+	case jobs.Done:
 		m.rec.Add("jobs/completed", 1)
-	case StateFailed:
+	case jobs.Failed:
 		m.rec.Add("jobs/failed", 1)
-	case StateCanceled:
+	case jobs.Canceled:
 		m.rec.Add("jobs/canceled", 1)
 	}
+	j.Finish(st, 0, body, msg)
 }
 
-// execute runs the placement/fan-out/reduce pipeline for one job.
-func (m *Manager) execute(j *Job) {
-	sp := j.spec
+// execute runs the placement/fan-out/reduce pipeline for one job and
+// returns the terminal state it reached, with the reduced body (done) or
+// the reason (failed/canceled).
+func (m *Manager) execute(j *Job) (jobs.State, []byte, string) {
+	sp, ctx := j.spec, j.Context()
 	n := len(sp.Seeds)
 	results := make([]json.RawMessage, n)
 	var firstErr errOnce
@@ -285,25 +263,22 @@ func (m *Manager) execute(j *Job) {
 	}
 	wg.Wait()
 
-	if j.ctx.Err() != nil {
-		cause := context.Cause(j.ctx)
+	if ctx.Err() != nil {
+		cause := context.Cause(ctx)
 		msg := "server draining"
 		if cause != nil && !errors.Is(cause, context.Canceled) {
 			msg = cause.Error()
 		}
-		j.markCanceled(msg)
-		return
+		return jobs.Canceled, nil, msg
 	}
 	if err := firstErr.get(); err != nil {
-		j.fail(err.Error())
-		return
+		return jobs.Failed, nil, err.Error()
 	}
 	body, err := sp.Reduce(results)
 	if err != nil {
-		j.fail(err.Error())
-		return
+		return jobs.Failed, nil, err.Error()
 	}
-	j.complete(body)
+	return jobs.Done, body, ""
 }
 
 // runPeerShard drives one owner's shard in ShardBatch-sized slices:
@@ -312,7 +287,7 @@ func (m *Manager) execute(j *Job) {
 // units.
 func (m *Manager) runPeerShard(j *Job, disp Dispatcher, peer string, units []int, results []json.RawMessage, sem chan struct{}, firstErr *errOnce) {
 	for start := 0; start < len(units); start += m.cfg.ShardBatch {
-		if j.ctx.Err() != nil {
+		if j.Context().Err() != nil {
 			return
 		}
 		end := start + m.cfg.ShardBatch
@@ -320,14 +295,14 @@ func (m *Manager) runPeerShard(j *Job, disp Dispatcher, peer string, units []int
 			end = len(units)
 		}
 		batch := units[start:end]
-		if disp.Saturated(j.ctx, peer) {
+		if disp.Saturated(j.Context(), peer) {
 			m.rec.Add("admission/local-fallback", 1)
 			m.runUnitsLocal(j, batch, results, sem, firstErr)
 			continue
 		}
-		resp, err := disp.RunShard(j.ctx, peer, ShardRequest{Spec: j.spec.Wire(), Units: batch})
+		resp, err := disp.RunShard(j.Context(), peer, ShardRequest{Spec: j.spec.Wire(), Units: batch})
 		if err != nil || len(resp.Results) != len(batch) {
-			if j.ctx.Err() != nil {
+			if j.Context().Err() != nil {
 				return
 			}
 			m.rec.Add("shards/failover-local", 1)
@@ -338,7 +313,7 @@ func (m *Manager) runPeerShard(j *Job, disp Dispatcher, peer string, units []int
 		for k, u := range batch {
 			results[u] = resp.Results[k]
 			m.rec.Add("units/forwarded", 1)
-			j.tick(u, peer)
+			j.Tick(j.spec.Seeds[u], peer)
 		}
 	}
 }
@@ -353,12 +328,12 @@ func (m *Manager) runUnitsLocal(j *Job, units []int, results []json.RawMessage, 
 	}
 	var wg sync.WaitGroup
 	for _, u := range units {
-		if j.ctx.Err() != nil {
+		if j.Context().Err() != nil {
 			break
 		}
 		select {
 		case sem <- struct{}{}:
-		case <-j.ctx.Done():
+		case <-j.Context().Done():
 			wg.Wait()
 			return
 		}
@@ -366,16 +341,16 @@ func (m *Manager) runUnitsLocal(j *Job, units []int, results []json.RawMessage, 
 		go func(u int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := m.execUnit(j.ctx, j.spec, u, j.logLine)
+			res, err := m.execUnit(j.Context(), j.spec, u, j.Log)
 			if err != nil {
-				if j.ctx.Err() == nil {
+				if j.Context().Err() == nil {
 					firstErr.set(fmt.Errorf("unit %d (seed %d): %w", u, j.spec.Seeds[u], err))
 				}
 				return
 			}
 			results[u] = res
 			m.rec.Add("units/local", 1)
-			j.tick(u, node)
+			j.Tick(j.spec.Seeds[u], node)
 		}(u)
 	}
 	wg.Wait()
@@ -422,17 +397,9 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 // the bounded queue, and return their canonical results in request
 // order. This is the body of the internal POST /sweeps/shard hop.
 func (m *Manager) RunShardLocal(ctx context.Context, sr *ShardRequest) (*ShardResponse, error) {
-	sp, err := sr.Spec.Normalize(m.cfg.MaxSeeds)
+	sp, err := sr.normalize(m.cfg.MaxSeeds)
 	if err != nil {
 		return nil, err
-	}
-	if len(sr.Units) == 0 {
-		return nil, errf(400, "shard lists no units")
-	}
-	for _, u := range sr.Units {
-		if u < 0 || u >= len(sp.Seeds) {
-			return nil, errf(400, "unit index %d outside the %d-seed sweep", u, len(sp.Seeds))
-		}
 	}
 	out := &ShardResponse{Results: make([]json.RawMessage, len(sr.Units))}
 	sem := make(chan struct{}, m.cfg.LocalConcurrency)

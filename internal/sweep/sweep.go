@@ -24,12 +24,12 @@
 // fleet size, shard placement or worker count. The golden and chaos tests
 // in the service and fleet packages lock this down.
 //
-// Progress streams as an append-only event log per job: one tick per
-// completed unit (units_done strictly increasing), optional log lines
-// from the harness's per-unit progress callbacks, and exactly one
-// terminal event (done, failed or canceled — including on server drain),
-// which is what lets a client tail GET /sweeps/{id}/events without ever
-// seeing the stream end silently.
+// Progress streams as an append-only event log per job (the internal/jobs
+// lifecycle plan jobs share): one tick per completed unit (units_done
+// strictly increasing), optional log lines from the harness's per-unit
+// progress callbacks, and exactly one terminal event (done, failed or
+// canceled — including on server drain), which is what lets a client tail
+// GET /sweeps/{id}/events without ever seeing the stream end silently.
 package sweep
 
 import (
@@ -144,23 +144,42 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 
 // DecodeRequest reads and strictly decodes a Request from an HTTP body.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req Request
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-		}
-		if errors.Is(err, io.EOF) {
-			return nil, errf(http.StatusBadRequest, "empty request body")
-		}
-		return nil, errf(http.StatusBadRequest, "decoding sweep request: %v", err)
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return nil, errf(http.StatusBadRequest, "request body holds more than one JSON object")
+	if err := decodeStrict(r, &req, "sweep request"); err != nil {
+		return nil, err
 	}
 	return &req, nil
+}
+
+// DecodeShardRequest reads and strictly decodes a ShardRequest from the
+// body of the internal POST /sweeps/shard hop.
+func DecodeShardRequest(r io.Reader) (*ShardRequest, error) {
+	var sr ShardRequest
+	if err := decodeStrict(r, &sr, "shard request"); err != nil {
+		return nil, err
+	}
+	return &sr, nil
+}
+
+// decodeStrict decodes exactly one JSON object with no unknown fields
+// into v. An oversized body maps to 413, anything else malformed to 400.
+func decodeStrict(r io.Reader, v any, what string) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+		}
+		if errors.Is(err, io.EOF) {
+			return errf(http.StatusBadRequest, "empty request body")
+		}
+		return errf(http.StatusBadRequest, "decoding %s: %v", what, err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return errf(http.StatusBadRequest, "request body holds more than one JSON object")
+	}
+	return nil
 }
 
 // Wire renders the spec back into its canonical Request form — the body a
@@ -272,6 +291,30 @@ func (sp *Spec) Reduce(results []json.RawMessage) ([]byte, error) {
 type ShardRequest struct {
 	Spec  Request `json:"spec"`
 	Units []int   `json:"units"`
+}
+
+// normalize validates a shard against the unit cap: its spec normalizes
+// like a top-level submission and it lists each in-range unit index at
+// most once. Failures are 4xx *HTTPError values.
+func (sr *ShardRequest) normalize(maxSeeds int) (*Spec, error) {
+	sp, err := sr.Spec.Normalize(maxSeeds)
+	if err != nil {
+		return nil, err
+	}
+	if len(sr.Units) == 0 {
+		return nil, errf(http.StatusBadRequest, "shard lists no units")
+	}
+	seen := make([]bool, len(sp.Seeds))
+	for _, u := range sr.Units {
+		if u < 0 || u >= len(sp.Seeds) {
+			return nil, errf(http.StatusBadRequest, "unit index %d outside the %d-seed sweep", u, len(sp.Seeds))
+		}
+		if seen[u] {
+			return nil, errf(http.StatusBadRequest, "unit index %d listed twice", u)
+		}
+		seen[u] = true
+	}
+	return sp, nil
 }
 
 // ShardResponse carries the executed units' canonical JSON results, in

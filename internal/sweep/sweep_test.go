@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"copack/internal/exp"
+	"copack/internal/jobs"
 )
 
 // inlineEnqueue is the simplest host queue: run the closure on a fresh
@@ -48,7 +49,7 @@ func table2Spec(t *testing.T, seeds ...int64) *Spec {
 	return sp
 }
 
-func awaitJob(t *testing.T, j *Job) View {
+func awaitJob(t *testing.T, j *Job) jobs.View {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -199,7 +200,7 @@ func TestStandaloneSweepMatchesHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := awaitJob(t, j)
-	if view.State != StateDone {
+	if view.State != jobs.Done {
 		t.Fatalf("state %s, want done (%s)", view.State, view.ErrMsg)
 	}
 	var body ResultBody
@@ -324,7 +325,7 @@ func TestShardFailureFallsBackLocalZeroLostUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	refView := awaitJob(t, rj)
-	if refView.State != StateDone {
+	if refView.State != jobs.Done {
 		t.Fatalf("reference sweep: %s", refView.State)
 	}
 
@@ -339,7 +340,7 @@ func TestShardFailureFallsBackLocalZeroLostUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := awaitJob(t, j)
-	if view.State != StateDone {
+	if view.State != jobs.Done {
 		t.Fatalf("state %s (%s), want done", view.State, view.ErrMsg)
 	}
 	if d.runs == 0 {
@@ -359,7 +360,7 @@ func TestSaturatedPeerSkippedBeforeDialing(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := awaitJob(t, j)
-	if view.State != StateDone {
+	if view.State != jobs.Done {
 		t.Fatalf("state %s, want done", view.State)
 	}
 	if d.runs != 0 {
@@ -380,7 +381,7 @@ func TestCancelMidSweepEmitsCanceledTerminal(t *testing.T) {
 	}
 	j.Cancel(errors.New("canceled by client"))
 	view := awaitJob(t, j)
-	if view.State != StateCanceled {
+	if view.State != jobs.Canceled {
 		t.Fatalf("state %s, want canceled", view.State)
 	}
 	if view.ErrMsg != "canceled by client" {
@@ -407,7 +408,7 @@ func TestDrainCancelsRunningSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := j.Snapshot()
-	if view.State != StateCanceled {
+	if view.State != jobs.Canceled {
 		t.Fatalf("state %s, want canceled", view.State)
 	}
 	if view.ErrMsg != "server draining" {
@@ -461,7 +462,7 @@ func TestEnqueueBackpressureRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := awaitJob(t, j)
-	if view.State != StateDone {
+	if view.State != jobs.Done {
 		t.Fatalf("state %s, want done", view.State)
 	}
 	if offers < 3 {
@@ -500,7 +501,7 @@ func TestUnknownKindFailsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := awaitJob(t, j)
-	if view.State != StateFailed {
+	if view.State != jobs.Failed {
 		t.Fatalf("state %s, want failed", view.State)
 	}
 	if !strings.Contains(view.ErrMsg, "unknown kind") {
@@ -550,7 +551,7 @@ func TestTable3SweepSingleSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := awaitJob(t, j)
-	if view.State != StateDone {
+	if view.State != jobs.Done {
 		t.Fatalf("state %s (%s), want done", view.State, view.ErrMsg)
 	}
 	var body ResultBody
