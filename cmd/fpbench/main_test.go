@@ -20,7 +20,12 @@ func captureStdout(t *testing.T, fn func()) string {
 	os.Stdout = w
 	done := make(chan string)
 	go func() {
+		// Pre-sized so the reader never allocates while fn runs: the
+		// bench's allocs/move figure counts every allocation in the
+		// process, and a late-scheduled reader growing its buffer inside
+		// the pricing window would show up there.
 		var sb strings.Builder
+		sb.Grow(1 << 16)
 		buf := make([]byte, 4096)
 		for {
 			n, err := r.Read(buf)

@@ -10,13 +10,16 @@
 // implement the standard Metropolis rule (accept uphill moves with
 // probability exp(−ΔC/T)), which is what reference [7] (Kirkpatrick et al.)
 // defines and what the paper cites.
+//
+// Moves draw from Rand, a concrete generator whose stream is exactly
+// math/rand's for the same seed, so every anneal is move-for-move the one
+// rand.New(rand.NewSource(seed)) would drive.
 package anneal
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"copack/internal/faultinject"
 	"copack/internal/parallel"
@@ -32,7 +35,7 @@ type Target interface {
 	// *would* cause, without mutating the target. ok=false means no move
 	// was sampled (for example, the sampled move was illegal); the engine
 	// counts it as infeasible and tries again.
-	PriceMove(rng *rand.Rand) (delta float64, ok bool)
+	PriceMove(rng *Rand) (delta float64, ok bool)
 	// CommitMove applies the last priced move.
 	CommitMove()
 	// RejectMove abandons the last priced move.
@@ -104,7 +107,7 @@ func (s Schedule) Validate() error {
 // Stats reports what a run did.
 type Stats struct {
 	Plateaus   int
-	Proposed   int // moves applied and evaluated
+	Proposed   int // moves priced (each then committed or rejected)
 	Infeasible int // proposals rejected before evaluation (ok=false)
 	Accepted   int
 	Uphill     int // accepted moves with positive delta
@@ -127,7 +130,7 @@ type Stats struct {
 // The target is left in its final state (cost FinalCost); a target that
 // implements Snapshotter additionally receives a Snapshot call at every new
 // best, so it can restore the BestCost state afterwards.
-func Minimize(t Target, initialCost float64, s Schedule, rng *rand.Rand) (Stats, error) {
+func Minimize(t Target, initialCost float64, s Schedule, rng *Rand) (Stats, error) {
 	return MinimizeContext(context.Background(), t, initialCost, s, rng)
 }
 
@@ -145,7 +148,7 @@ const checkEvery = 16
 // loses work, it only cuts the schedule short. An uncancelled run is
 // move-for-move identical to Minimize with the same seed: the polls never
 // touch the rng.
-func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Schedule, rng *rand.Rand) (Stats, error) {
+func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Schedule, rng *Rand) (Stats, error) {
 	if err := s.Validate(); err != nil {
 		return Stats{}, err
 	}
@@ -185,7 +188,7 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 				continue
 			}
 			stats.Proposed++
-			accept := delta <= 0 || rng.Float64() < math.Exp(-delta/temp)
+			accept := delta <= 0 || metropolis(rng.Float64(), -delta/temp)
 			if !accept {
 				t.RejectMove()
 				continue
@@ -215,6 +218,29 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 	}
 	stats.FinalCost = cost
 	return stats, nil
+}
+
+// metropolis reports u < math.Exp(x), the Metropolis test of an uphill
+// move (x = −Δ/T), without calling Exp whenever the cubic Taylor bounds
+// settle it. For x <= 0 the Lagrange remainders give
+//
+//	1+x+x²/2+x³/6 <= e^x <= 1/(1−x+x²/2−x³/6),
+//
+// and the 1e-12 margins are about 1000 times the rounding error of either
+// polynomial (|x| <= 1 for the lower one) and of Exp itself (< 1 ulp), so
+// each early answer is the one u < math.Exp(x) gives, for every u >= 0
+// and every x <= 0 (−0 and −Inf included) or NaN — the engine passes
+// x = −Δ/T only for Δ > 0. DESIGN.md has the full argument.
+func metropolis(u, x float64) bool {
+	a := x * x * 0.5
+	b := x * x * x * (1.0 / 6)
+	if u*(1-x+a-b) >= 1+1e-12 {
+		return false
+	}
+	if x >= -1 && u < 1+x+a+b-1e-12 {
+		return true
+	}
+	return u < math.Exp(x)
 }
 
 // SplitSeed derives the seed of restart k from a base seed. Restart 0 keeps
@@ -248,7 +274,7 @@ func MinimizeRestarts(ctx context.Context, n, workers int, build func(k int) (Ta
 	out := make([]Stats, n)
 	err := parallel.ForEachErr(ctx, n, workers, func(ctx context.Context, k int) error {
 		t, cost0 := build(k)
-		rng := rand.New(rand.NewSource(SplitSeed(seed, k)))
+		rng := NewRand(SplitSeed(seed, k))
 		stats, err := MinimizeContext(ctx, t, cost0, s, rng)
 		if err != nil {
 			return err

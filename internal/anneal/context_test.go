@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"copack/internal/faultinject"
@@ -25,7 +24,7 @@ type walker struct {
 
 func (w *walker) cost() float64 { return float64(w.x * w.x) }
 
-func (w *walker) PriceMove(rng *rand.Rand) (float64, bool) {
+func (w *walker) PriceMove(rng *Rand) (float64, bool) {
 	if w.onPrice != nil {
 		w.onPrice()
 	}
@@ -54,7 +53,7 @@ func TestStallExitPreservesSnapshotterBest(t *testing.T) {
 	st, err := Minimize(w, w.cost(), Schedule{
 		InitialTemp: 5, FinalTemp: 1e-6, Cooling: 0.9,
 		MovesPerTemp: 50, StallPlateaus: 2,
-	}, rand.New(rand.NewSource(11)))
+	}, NewRand(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestSinglePlateauSchedule(t *testing.T) {
 	w := &walker{x: 3}
 	st, err := Minimize(w, w.cost(), Schedule{
 		InitialTemp: 1, FinalTemp: 1, Cooling: 0.5, MovesPerTemp: 10,
-	}, rand.New(rand.NewSource(1)))
+	}, NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestNoFeasibleMoveLeavesStateUntouched(t *testing.T) {
 	w := &walker{x: 7, stuckAfter: 1, proposed: 1} // past stuckAfter: all proposals infeasible
 	st, err := Minimize(w, w.cost(), Schedule{
 		InitialTemp: 1, FinalTemp: 0.5, Cooling: 0.9, MovesPerTemp: 8,
-	}, rand.New(rand.NewSource(2)))
+	}, NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestCancellationMidPlateauLeavesConsistentStats(t *testing.T) {
 	}
 	st, err := MinimizeContext(ctx, w, w.cost(), Schedule{
 		InitialTemp: 2, FinalTemp: 1e-9, Cooling: 0.95, MovesPerTemp: 100000,
-	}, rand.New(rand.NewSource(3)))
+	}, NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestAlreadyCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	w := &walker{x: 5}
-	st, err := MinimizeContext(ctx, w, w.cost(), Schedule{}, rand.New(rand.NewSource(4)))
+	st, err := MinimizeContext(ctx, w, w.cost(), Schedule{}, NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestInjectedFaultInterruptsPlateau(t *testing.T) {
 	w := &walker{x: 20}
 	st, err := Minimize(w, w.cost(), Schedule{
 		InitialTemp: 1, FinalTemp: 1e-6, Cooling: 0.9, MovesPerTemp: 10,
-	}, rand.New(rand.NewSource(5)))
+	}, NewRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestUncancelledContextRunMatchesMinimize(t *testing.T) {
 	run := func(viaCtx bool) (Stats, int) {
 		w := &walker{x: 12}
 		s := Schedule{InitialTemp: 3, FinalTemp: 1e-3, Cooling: 0.9, MovesPerTemp: 40}
-		rng := rand.New(rand.NewSource(9))
+		rng := NewRand(9)
 		var st Stats
 		var err error
 		if viaCtx {

@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -14,7 +13,7 @@ import (
 func TestPricedQuadraticStatsPinned(t *testing.T) {
 	q := &quadratic{x: []int{9, -7, 5, 12, -3, 8}}
 	sched := Schedule{InitialTemp: 50, FinalTemp: 1e-3, Cooling: 0.9, MovesPerTemp: 150}
-	st, err := Minimize(q, q.cost(), sched, rand.New(rand.NewSource(5)))
+	st, err := Minimize(q, q.cost(), sched, NewRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ type stubbornPricer struct {
 	refused int
 }
 
-func (q *stubbornPricer) PriceMove(rng *rand.Rand) (float64, bool) {
+func (q *stubbornPricer) PriceMove(rng *Rand) (float64, bool) {
 	if q.refused < q.refuse {
 		q.refused++
 		rng.Intn(2) // consume something so the stream advances
@@ -64,7 +63,7 @@ func (q *stubbornPricer) PriceMove(rng *rand.Rand) (float64, bool) {
 func TestDeltaPricerInfeasible(t *testing.T) {
 	q := &stubbornPricer{refuse: 10}
 	q.x = []int{3, -2}
-	st, err := Minimize(q, q.cost(), Schedule{InitialTemp: 1, FinalTemp: 0.5, Cooling: 0.5, MovesPerTemp: 20}, rand.New(rand.NewSource(2)))
+	st, err := Minimize(q, q.cost(), Schedule{InitialTemp: 1, FinalTemp: 0.5, Cooling: 0.5, MovesPerTemp: 20}, NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}

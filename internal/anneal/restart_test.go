@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -29,7 +28,7 @@ func TestMinimizeRestartsDeterministic(t *testing.T) {
 
 	// Reference: plain single anneal with the base seed.
 	ref := newTarget()
-	refStats, err := Minimize(ref, ref.cost(), sched, rand.New(rand.NewSource(42)))
+	refStats, err := Minimize(ref, ref.cost(), sched, NewRand(42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package exchange
 
 import (
-	"math/rand"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/gen"
 )
@@ -23,7 +23,7 @@ func TestPricedMoveZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := newState(p, a, Options{Seed: 1}.withDefaults(p), nil)
-		rng := rand.New(rand.NewSource(1))
+		rng := anneal.NewRand(1)
 		// Warm up past lazy initialization and across a resync boundary.
 		for k := 0; k < 2*resyncInterval; k++ {
 			if delta, ok := st.PriceMove(rng); ok {

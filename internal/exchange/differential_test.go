@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/bga"
 	"copack/internal/power"
 	"copack/internal/stack"
@@ -28,7 +29,7 @@ import (
 func TestIncrementalCostMatchesFromScratch(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
 		st := newTestState(t, 1, 3, tiers, Options{})
-		rng := rand.New(rand.NewSource(21))
+		rng := anneal.NewRand(21)
 		dec := rand.New(rand.NewSource(87))
 
 		accepted, moves := 0, 0

@@ -23,7 +23,6 @@ package exchange
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"copack/internal/anneal"
 	"copack/internal/bga"
@@ -209,19 +208,39 @@ func (s *state) cost() float64 {
 
 // pickSlot samples the pad to move. For 2-D ICs only supply pads move (the
 // paper's "random choose one power pad"); for stacking ICs any pad moves.
-func (s *state) pickSlot(rng *rand.Rand) (bga.Side, int, bool) {
+// The samplers draw rng.Intn(len(s.sides)) and rng.Intn(len(slots))
+// without their divisions.
+func (s *state) pickSlot(rng *anneal.Rand) (bga.Side, int, bool) {
 	if len(s.sides) == 0 {
 		return 0, 0, false
 	}
-	for try := 0; try < 16; try++ {
-		// The samplers draw rng.Intn(len(s.sides)) and
-		// rng.Intn(len(slots)) without their divisions.
+	if s.p.Tiers != 1 {
 		side := s.sides[s.sidePick.draw(rng)]
-		i := 1 + s.slotPick[side].draw(rng)
-		if s.p.Tiers == 1 && !s.isSupply[side][i-1] {
-			continue
+		return side, 1 + s.slotPick[side].draw(rng), true
+	}
+	return s.pickSupplySlot(rng)
+}
+
+// pickSupplySlot draws (side, slot) pairs until one holds a supply pad,
+// giving up after 16 tries. Most draws land on a signal pad, so this loop
+// is where a 2-D proposal spends most of its random numbers; the two
+// sampler draws are written out so its common path makes no call.
+func (s *state) pickSupplySlot(rng *anneal.Rand) (bga.Side, int, bool) {
+	sp := &s.sidePick
+	for try := 0; try < 16; try++ {
+		v := rng.Int31()
+		if v > sp.max {
+			v = sp.redraw(rng)
 		}
-		return side, i, true
+		side := s.sides[sp.reduce(v)]
+		ip := &s.slotPick[side]
+		w := rng.Int31()
+		if w > ip.max {
+			w = ip.redraw(rng)
+		}
+		if i := ip.reduce(w); s.isSupply[side][i] {
+			return side, i + 1, true
+		}
 	}
 	return 0, 0, false
 }

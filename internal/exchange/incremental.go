@@ -152,22 +152,24 @@ type supplyPend struct {
 }
 
 // priceSupplyMove prices the supply pad at global index gFrom moving to
-// the adjacent index gTo without mutating anything. O(1) except on a
-// resync boundary, where it recomputes from scratch exactly as an applied
-// move would (amortized O(1), allocation-free either way).
-func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
+// the adjacent index gTo into *sp, without mutating the tracker. O(1)
+// except on a resync boundary, where it recomputes from scratch exactly as
+// an applied move would (amortized O(1), allocation-free either way).
+func (tr *tracker) priceSupplyMove(gFrom, gTo int, sp *supplyPend) {
 	r := tr.rankOf[gFrom]
 	if r < 0 {
-		return supplyPend{}
+		sp.moved = false
+		return
 	}
+	sp.moved, sp.gFrom, sp.gTo, sp.rank = true, gFrom, gTo, r
 	n := len(tr.supplyIdx)
 	if n == 1 {
 		// A single pad's cost is one full-circle gap regardless of
 		// position: the move touches neither proxy nor the resync
 		// counter.
-		return supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: 0,
-			proxyAccept: tr.proxy, proxyReject: tr.proxy,
-			appliesAcc: tr.applies, appliesRej: tr.applies}
+		sp.proxyAccept, sp.proxyReject = tr.proxy, tr.proxy
+		sp.appliesAcc, sp.appliesRej = tr.applies, tr.applies
+		return
 	}
 	prev := tr.supplyIdx[(r-1+n)%n]
 	next := tr.supplyIdx[(r+1)%n]
@@ -188,12 +190,11 @@ func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
 	if ar%resyncInterval == 0 {
 		pr = tr.resyncCost(-1, 0)
 	}
-	return supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: r,
-		proxyAccept: pa, proxyReject: pr, appliesAcc: aa, appliesRej: ar}
+	sp.proxyAccept, sp.proxyReject, sp.appliesAcc, sp.appliesRej = pa, pr, aa, ar
 }
 
 // commitSupply applies a priced supply move to the caches.
-func (tr *tracker) commitSupply(sp supplyPend) {
+func (tr *tracker) commitSupply(sp *supplyPend) {
 	if !sp.moved {
 		return
 	}
@@ -211,7 +212,7 @@ func (tr *tracker) commitSupply(sp supplyPend) {
 // apply/undo pair would have produced, leaving positions untouched. It
 // exists only to keep the float history the golden matrix pins; dropping
 // it would be a deliberate re-baseline of those pins.
-func (tr *tracker) rejectSupply(sp supplyPend) {
+func (tr *tracker) rejectSupply(sp *supplyPend) {
 	if !sp.moved {
 		return
 	}

@@ -87,7 +87,7 @@ func TestTrackerDriftBoundedAfterFullAnneal(t *testing.T) {
 		opt := Options{Seed: 11, Lambda: 1, Rho: 1, Phi: 0.4}
 		st := newState(p, a, opt, nil)
 		sched := anneal.Schedule{MovesPerTemp: 4 * p.Circuit.NumNets(), StallPlateaus: 25}
-		rng := rand.New(rand.NewSource(opt.Seed))
+		rng := anneal.NewRand(opt.Seed)
 		stats, err := anneal.MinimizeContext(context.Background(), st, st.cost(), sched, rng)
 		if err != nil {
 			t.Fatal(err)

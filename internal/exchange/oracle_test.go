@@ -1,8 +1,7 @@
 package exchange
 
 import (
-	"math/rand"
-
+	"copack/internal/anneal"
 	"copack/internal/bga"
 	"copack/internal/core"
 	"copack/internal/netlist"
@@ -23,7 +22,7 @@ import (
 // for 2-D), swaps it with a random neighbor, and prices the move as the
 // cost difference; the returned function undoes it. PriceMove samples and
 // prices the identical move for the same rng stream without mutating.
-func (s *state) Propose(rng *rand.Rand) (float64, func(), bool) {
+func (s *state) Propose(rng *anneal.Rand) (float64, func(), bool) {
 	side, i, ok := s.pickSlot(rng)
 	if !ok {
 		return 0, nil, false
@@ -59,7 +58,9 @@ func (s *state) apply(side bga.Side, i, j int) {
 	}
 	slots := s.a.Slots[side]
 	sd := &s.sections[side]
-	sd.commitSwap(sd.priceSwap(slots[lo-1], slots[lo]))
+	var sec secPend
+	sd.priceSwap(slots[lo-1], slots[lo], &sec)
+	sd.commitSwap(&sec)
 	s.idCache[side] = sd.worst()
 	s.a.Swap(side, i, j)
 	sup := s.isSupply[side]

@@ -3,7 +3,6 @@ package exchange
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"copack/internal/anneal"
 	"copack/internal/assign"
@@ -100,7 +99,7 @@ func runPortfolio(ctx context.Context, p *core.Problem, initial *core.Assignment
 		st := newState(p, initial, opt, warm[engines[arm]])
 		states[k], armOf[k] = st, arm
 		startCosts[k] = st.cost()
-		rng := rand.New(rand.NewSource(anneal.SplitSeed(cfg.Seed, k)))
+		rng := anneal.NewRand(anneal.SplitSeed(cfg.Seed, k))
 		s, err := anneal.MinimizeContext(ctx, st, startCosts[k], scheds[arm], rng)
 		if err != nil {
 			return 0, s, err

@@ -2,10 +2,10 @@ package exchange
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
+	"copack/internal/anneal"
 	"copack/internal/bga"
 	"copack/internal/core"
 )
@@ -17,7 +17,10 @@ import (
 // (oracle_test.go), which TestPriceMoveEquivalentToPropose checks.
 
 // pendMove is the move priced by the last PriceMove call, held in the
-// state (not a closure) so resolving it allocates nothing.
+// state (not a closure) so resolving it allocates nothing. PriceMove
+// writes it field by field, and the section and supply pricers fill sec
+// and sup in place, so no proposal builds a pend on the stack and
+// block-copies it in.
 type pendMove struct {
 	side   bga.Side
 	i, j   int // 1-based slots, |i−j| = 1
@@ -32,13 +35,15 @@ type pendMove struct {
 // stacking ICs, a supply pad for 2-D), pair it with a random neighbor, and
 // price the swap in O(1) without mutating the state. CommitMove or
 // RejectMove must resolve it before the next call.
-func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
+func (s *state) PriceMove(rng *anneal.Rand) (float64, bool) {
 	side, i, ok := s.pickSlot(rng)
 	if !ok {
 		return 0, false
 	}
 	j := i + 1
-	if (rng.Intn(2) == 0 && i > 1) || j > len(s.a.Slots[side]) {
+	// Int31()&1 is the draw rng.Intn(2) makes (Int31n's power-of-two
+	// mask).
+	if (rng.Int31()&1 == 0 && i > 1) || j > len(s.a.Slots[side]) {
 		j = i - 1
 	}
 	slots := s.a.Slots[side]
@@ -52,16 +57,17 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	}
 
 	before := s.cost()
+	pd := &s.pend
 
 	// Eq 2: the swap perturbs at most two sections of one line.
 	lo := i
 	if j < i {
 		lo = j
 	}
-	sec := sd.priceSwap(slots[lo-1], slots[lo])
+	sd.priceSwap(slots[lo-1], slots[lo], &pd.sec)
 	idAcc := s.idCache[side]
-	if sec.kind == secDC {
-		idAcc = sec.newMax
+	if pd.sec.kind == secDC {
+		idAcc = pd.sec.newMax
 		if idAcc < 0 {
 			idAcc = 0
 		}
@@ -70,27 +76,25 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	// Δ_IR proxy: at most one supply pad moves by one ring slot.
 	gi, gj := s.trk.globalOf[side][i-1], s.trk.globalOf[side][j-1]
 	supA, supB := s.isSupply[side][i-1], s.isSupply[side][j-1]
-	var sup supplyPend
 	switch {
 	case supB && !supA:
-		sup = s.trk.priceSupplyMove(gj, gi)
+		s.trk.priceSupplyMove(gj, gi, &pd.sup)
 	case supA && !supB:
-		sup = s.trk.priceSupplyMove(gi, gj)
+		s.trk.priceSupplyMove(gi, gj, &pd.sup)
+	default:
+		pd.sup.moved = false
 	}
 	proxyAcc := s.trk.proxy
-	if sup.moved {
-		proxyAcc = sup.proxyAccept
+	if pd.sup.moved {
+		proxyAcc = pd.sup.proxyAccept
 	}
 
 	// ω: at most two tier groups change.
 	omegaAcc := s.trk.priceTierSwap(gi, gj)
 
 	after := s.costWith(side, idAcc, proxyAcc, omegaAcc)
-	// Written field by field: a struct literal is built on the stack
-	// and then block-copied into s.pend on every proposal.
-	pd := &s.pend
 	pd.side, pd.i, pd.j, pd.gi, pd.gj = side, i, j, gi, gj
-	pd.sec, pd.idAcc, pd.sup, pd.omega = sec, idAcc, sup, omegaAcc
+	pd.idAcc, pd.omega = idAcc, omegaAcc
 	return after - before, true
 }
 
@@ -98,12 +102,12 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 func (s *state) CommitMove() {
 	p := &s.pend
 	sd := &s.sections[p.side]
-	sd.commitSwap(p.sec)
+	sd.commitSwap(&p.sec)
 	s.idCache[p.side] = p.idAcc
 	s.a.Swap(p.side, p.i, p.j)
 	sup := s.isSupply[p.side]
 	sup[p.i-1], sup[p.j-1] = sup[p.j-1], sup[p.i-1]
-	s.trk.commitSupply(p.sup)
+	s.trk.commitSupply(&p.sup)
 	s.trk.commitTierSwap(p.gi, p.gj, p.omega)
 }
 
@@ -112,7 +116,7 @@ func (s *state) CommitMove() {
 // schedule) an apply/undo pair would have produced — the float history the
 // golden matrix pins (see rejectSupply).
 func (s *state) RejectMove() {
-	s.trk.rejectSupply(s.pend.sup)
+	s.trk.rejectSupply(&s.pend.sup)
 }
 
 // costWith is cost() with one side's Eq 2 term, the proxy and ω replaced
@@ -165,7 +169,7 @@ func PricingBench(p *core.Problem, initial *core.Assignment, opt Options, moves 
 	}
 	opt = opt.withDefaults(p)
 	st := newState(p, initial, opt, nil)
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := anneal.NewRand(opt.Seed)
 
 	var before, after runtime.MemStats
 	runtime.GC()

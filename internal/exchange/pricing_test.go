@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/gen"
@@ -199,8 +200,8 @@ func TestPriceMoveEquivalentToPropose(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
 		st1 := newTestState(t, 2, 1, tiers, Options{})
 		st2 := newTestState(t, 2, 1, tiers, Options{})
-		rng1 := rand.New(rand.NewSource(17))
-		rng2 := rand.New(rand.NewSource(17))
+		rng1 := anneal.NewRand(17)
+		rng2 := anneal.NewRand(17)
 		dec := rand.New(rand.NewSource(99)) // shared accept decisions
 
 		moves := 3 * resyncInterval / 2 // cross a resync boundary both ways
@@ -268,13 +269,14 @@ func TestSectionDataSparseFallback(t *testing.T) {
 		if dense.row(work[i]) == dense.row(work[i+1]) {
 			continue
 		}
-		pd := dense.priceSwap(work[i], work[i+1])
-		ps := sparse.priceSwap(work[i], work[i+1])
+		var pd, ps secPend
+		dense.priceSwap(work[i], work[i+1], &pd)
+		sparse.priceSwap(work[i], work[i+1], &ps)
 		if pd.kind != ps.kind || pd.dec != ps.dec || pd.inc != ps.inc || pd.newMax != ps.newMax {
 			t.Fatalf("step %d: dense pend %+v, sparse pend %+v", k, pd, ps)
 		}
-		dense.commitSwap(pd)
-		sparse.commitSwap(ps)
+		dense.commitSwap(&pd)
+		sparse.commitSwap(&ps)
 		work[i], work[i+1] = work[i+1], work[i]
 		if dense.worst() != sparse.worst() {
 			t.Fatalf("step %d: dense worst %d, sparse worst %d", k, dense.worst(), sparse.worst())

@@ -2,12 +2,13 @@ package exchange
 
 import (
 	"math/bits"
-	"math/rand"
+
+	"copack/internal/anneal"
 )
 
-// intnSampler draws exactly what (*rand.Rand).Intn(n) draws for one fixed
-// n in [1, 2³¹−1], and leaves the stream at the same position: it consumes
-// the same Int31 values (each is one Int63) with Int31n's rejection rule.
+// intnSampler draws exactly what rng.Intn(n) draws for one fixed n in
+// [1, 2³¹−1], and leaves the stream at the same position: it consumes the
+// same Int31 values (each is one Int63) with Int31n's rejection rule.
 // Int31n spends two 32-bit divisions on every draw, one for its rejection
 // bound and one for the final modulus. Both depend on n alone, so the
 // sampler computes them once:
@@ -35,11 +36,28 @@ func newIntnSampler(n int) intnSampler {
 }
 
 // draw returns rng.Intn(n).
-func (s *intnSampler) draw(rng *rand.Rand) int {
+func (s *intnSampler) draw(rng *anneal.Rand) int {
+	v := rng.Int31()
+	if v > s.max {
+		v = s.redraw(rng)
+	}
+	return s.reduce(v)
+}
+
+// reduce maps an accepted draw v <= max to v mod n.
+func (s *intnSampler) reduce(v int32) int {
+	hi, _ := bits.Mul64(s.c*uint64(v), s.n)
+	return int(hi)
+}
+
+// redraw continues Int31n's rejection loop after a rejected draw. A draw
+// is rejected with probability (2³¹ mod n)/2³¹ < n/2³¹, so the loop lives
+// out of line and the common path of a draw is one inlined Int31, one
+// compare and one multiply.
+func (s *intnSampler) redraw(rng *anneal.Rand) int32 {
 	v := rng.Int31()
 	for v > s.max {
 		v = rng.Int31()
 	}
-	hi, _ := bits.Mul64(s.c*uint64(v), s.n)
-	return int(hi)
+	return v
 }

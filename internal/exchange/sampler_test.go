@@ -3,12 +3,15 @@ package exchange
 import (
 	"math/rand"
 	"testing"
+
+	"copack/internal/anneal"
 )
 
-// The sampler must be rand.Intn, draw for draw: the same values from the
-// same seed, and the stream left at the same position afterwards (the next
-// Int63 agrees), so swapping it into pickSlot cannot move a single bit of
-// an anneal.
+// The sampler must be math/rand's Intn, draw for draw: the same values
+// from the same seed, and the stream left at the same position afterwards
+// (the next Int63 agrees), so swapping it into pickSlot cannot move a
+// single bit of an anneal. The oracle is math/rand itself, not
+// anneal.Rand, so this also checks the generator the sampler draws from.
 func TestIntnSamplerMatchesRandIntn(t *testing.T) {
 	ns := []int{1<<31 - 1, 1<<30 + 3, 3 << 28}
 	for n := 1; n <= 4096; n++ {
@@ -18,7 +21,7 @@ func TestIntnSamplerMatchesRandIntn(t *testing.T) {
 		s := newIntnSampler(n)
 		seed := int64(n)*7919 + 1
 		want := rand.New(rand.NewSource(seed))
-		got := rand.New(rand.NewSource(seed))
+		got := anneal.NewRand(seed)
 		for d := 0; d < 64; d++ {
 			if w, g := want.Intn(n), s.draw(got); w != g {
 				t.Fatalf("n=%d draw %d: sampler %d, rand.Intn %d", n, d, g, w)

@@ -252,7 +252,9 @@ const (
 )
 
 // secPend is the priced effect of one adjacent swap on the watched
-// sections: priceSwap computes it without mutating, commitSwap applies it.
+// sections: priceSwap writes it without mutating the sections (in place,
+// into the annealer's pending move), commitSwap applies it. Only the
+// fields of its kind are meaningful.
 type secPend struct {
 	kind     secKind
 	line     int        // lines index of the perturbed line (secDC)
@@ -262,16 +264,19 @@ type secPend struct {
 }
 
 // priceSwap prices the swap of the adjacent nets na (earlier finger slot)
-// and nb (the next slot) against the watched sections. O(1), no mutation.
-func (sd *sectionData) priceSwap(na, nb netlist.ID) secPend {
+// and nb (the next slot) against the watched sections into *p. O(1), no
+// mutation of sd.
+func (sd *sectionData) priceSwap(na, nb netlist.ID, p *secPend) {
 	ra, rb := sd.row(na), sd.row(nb)
 	if ra == rb {
 		// Same line: both delimit, the section between two adjacent
 		// delimiters is empty, so only their ordinals trade places.
 		if sd.lineIdx[ra] >= 0 {
-			return secPend{kind: secDD, na: na, nb: nb}
+			p.kind, p.na, p.nb = secDD, na, nb
+			return
 		}
-		return secPend{kind: secNone}
+		p.kind = secNone
+		return
 	}
 	// Only the higher line is perturbed: there the higher net delimits
 	// and the lower net is counted; on every other line the pair is
@@ -282,7 +287,8 @@ func (sd *sectionData) priceSwap(na, nb netlist.ID) secPend {
 	}
 	k := sd.lineIdx[hi]
 	if k < 0 {
-		return secPend{kind: secNone} // unwatched (TopLineOnly)
+		p.kind = secNone // unwatched (TopLineOnly)
+		return
 	}
 	m := sd.ord(dNet)
 	var dec, inc int
@@ -308,11 +314,11 @@ func (sd *sectionData) priceSwap(na, nb netlist.ID) secPend {
 	if gInc+1 > newMax {
 		newMax = gInc + 1
 	}
-	return secPend{kind: secDC, line: k, dec: dec, inc: inc, newMax: newMax}
+	p.kind, p.line, p.dec, p.inc, p.newMax = secDC, k, dec, inc, newMax
 }
 
 // commitSwap applies a priced swap to the incremental caches.
-func (sd *sectionData) commitSwap(p secPend) {
+func (sd *sectionData) commitSwap(p *secPend) {
 	switch p.kind {
 	case secDC:
 		k := p.line

@@ -184,7 +184,7 @@ func (s *padTarget) drop(pads []power.Pad) (float64, error) {
 
 // PriceMove implements anneal.Target: slide one pad 1-3 boundary nodes
 // and solve the moved pad set against the cached drop of the current one.
-func (s *padTarget) PriceMove(rng *rand.Rand) (float64, bool) {
+func (s *padTarget) PriceMove(rng *anneal.Rand) (float64, bool) {
 	perim := power.Perimeter(s.g)
 	k := rng.Intn(len(s.pos))
 	step := 1 + rng.Intn(3) // 1..3 nodes per move
@@ -237,7 +237,7 @@ func annealPads(start []power.Pad, g power.GridSpec, seed int64, movesPerTemp in
 		Cooling:      0.88,
 		MovesPerTemp: movesPerTemp,
 	}
-	if _, err := anneal.Minimize(st, d0, sched, rand.New(rand.NewSource(seed+1))); err != nil {
+	if _, err := anneal.Minimize(st, d0, sched, anneal.NewRand(seed+1)); err != nil {
 		return nil, err
 	}
 	if st.best != nil {
