@@ -207,7 +207,9 @@ func BenchmarkRouteRealize(b *testing.B) {
 	}
 }
 
-// BenchmarkPowerSolve measures the IR-drop solvers on a 48×48 grid.
+// BenchmarkPowerSolve measures the IR-drop solvers on the 49×49 default
+// chip grid: the zero-value default (multigrid-preconditioned CG), Jacobi
+// CG and SOR.
 func BenchmarkPowerSolve(b *testing.B) {
 	p := benchProblem(b, 0)
 	a, err := assign.DFA(p, assign.DFAOptions{})
@@ -216,10 +218,18 @@ func BenchmarkPowerSolve(b *testing.B) {
 	}
 	g := power.DefaultChipGrid(p)
 	pads := power.PadsForAssignment(p, a, g)
-	for name, m := range map[string]power.Method{"cg": power.CG, "sor": power.SOR} {
-		b.Run(name, func(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		opt  power.SolveOptions
+	}{
+		{"default", power.SolveOptions{}},
+		{"cg", power.SolveOptions{Method: power.CG}},
+		{"sor", power.SolveOptions{Method: power.SOR}},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := power.Solve(g, pads, power.SolveOptions{Method: m}); err != nil {
+				if _, err := power.Solve(g, pads, m.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,9 +23,9 @@ import (
 // the coarse correction comes back 4× too small and the V-cycle degenerates
 // to little better than smoothing.
 //
-// Determinism: every kernel below is sharded with parallelRange over
-// index-disjoint outputs — red-black half-sweeps only read the opposite
-// color, residual/restrict/prolong are pure gather-writes — and the only
+// Determinism: every kernel below is sharded over index-disjoint outputs —
+// red-black half-sweeps only read the opposite color,
+// residual/restrict/prolong are pure gather-writes — and the only
 // reduction (the convergence check) goes through dotChunked's fixed-chunk
 // summation. Workers therefore never changes a single bit of the result.
 const (
@@ -64,6 +64,7 @@ type mgLevel struct {
 	gx, gy float64
 	isPad  []bool    // level 0: the real pads; deeper levels: surviving (coincident) pads
 	spring []float64 // diagonal Dirichlet coupling; level 0: all zero (pads are pinned directly)
+	diag   []float64 // spring plus the in-grid link conductances: the free node's full diagonal
 	v      []float64 // iterate (level 0) / correction (deeper levels)
 	rhs    []float64 // -sink or CG residual (level 0) / restricted residual
 	res    []float64 // residual scratch
@@ -85,20 +86,13 @@ func canCoarsen(nx, ny int) bool {
 // caller should fall back to a single-level solver.
 func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
 	gx, gy := conductances(g)
-	n := g.Nx * g.Ny
-	fine := &mgLevel{
-		nx: g.Nx, ny: g.Ny, gx: gx, gy: gy, isPad: isPad,
-		spring: make([]float64, n),
-		v:      make([]float64, n), rhs: make([]float64, n), res: make([]float64, n),
-	}
-	levels := []*mgLevel{fine}
+	levels := []*mgLevel{newLevel(g.Nx, g.Ny, gx, gy, isPad)}
 	for {
 		cur := levels[len(levels)-1]
 		if !canCoarsen(cur.nx, cur.ny) {
 			break
 		}
 		cnx, cny := (cur.nx+1)/2, (cur.ny+1)/2
-		cn := cnx * cny
 
 		// A pad survives to the coarse grid iff it coincides with a coarse
 		// node (both coordinates even) — those stay exact Dirichlet pins.
@@ -110,12 +104,13 @@ func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
 		// surviving pads are excluded — they reappear as real coarse-grid
 		// links to the coarse pad, and counting them twice over-stiffens
 		// the boundary.
-		seed := make([]float64, cur.nx*cur.ny)
+		seed := cur.res // free until the solve's first residual
 		anyPad := false
 		for j := 0; j < cur.ny; j++ {
 			for i := 0; i < cur.nx; i++ {
 				k := j*cur.nx + i
 				if cur.isPad[k] {
+					seed[k] = 0
 					continue
 				}
 				s := cur.spring[k]
@@ -134,8 +129,8 @@ func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
 				seed[k] = s
 			}
 		}
-		pad := make([]bool, cn)
-		spring := make([]float64, cn)
+		next := newLevel(cnx, cny, gx, gy, make([]bool, cnx*cny))
+		pad, spring := next.isPad, next.spring
 		var total float64
 		for J := 0; J < cny; J++ {
 			for I := 0; I < cnx; I++ {
@@ -152,13 +147,40 @@ func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
 		if !anyPad && total == 0 {
 			break
 		}
-		levels = append(levels, &mgLevel{
-			nx: cnx, ny: cny, gx: gx, gy: gy,
-			isPad: pad, spring: spring,
-			v: make([]float64, cn), rhs: make([]float64, cn), res: make([]float64, cn),
-		})
+		levels = append(levels, next)
+	}
+	for _, lv := range levels {
+		for k := range lv.diag {
+			i, j := k%lv.nx, k/lv.nx
+			d := lv.spring[k]
+			if i > 0 {
+				d += gx
+			}
+			if i < lv.nx-1 {
+				d += gx
+			}
+			if j > 0 {
+				d += gy
+			}
+			if j < lv.ny-1 {
+				d += gy
+			}
+			lv.diag[k] = d
+		}
 	}
 	return levels
+}
+
+// newLevel allocates an (nx, ny) level whose five vectors share one
+// backing array.
+func newLevel(nx, ny int, gx, gy float64, isPad []bool) *mgLevel {
+	n := nx * ny
+	vec := make([]float64, 5*n)
+	return &mgLevel{
+		nx: nx, ny: ny, gx: gx, gy: gy, isPad: isPad,
+		spring: vec[:n:n], diag: vec[n : 2*n : 2*n],
+		v: vec[2*n : 3*n : 3*n], rhs: vec[3*n : 4*n : 4*n], res: vec[4*n:],
+	}
 }
 
 // gatherFW applies the Pᵀ full-weighting stencil (center 1, edges 1/2,
@@ -194,96 +216,121 @@ func gatherFW(src []float64, fnx, fny, I, J int) float64 {
 	return s
 }
 
+// Every kernel below runs its row function inline when workers is 1, the
+// case for every grid under parallelNodeThreshold, so a V-cycle allocates
+// nothing; only the pooled path builds a parallelRange closure. Interior
+// nodes take a branch-free five-point stencil over the precomputed diag
+// and the boundary ring goes through linkSum; both sum the neighbours
+// left, right, down, up, so the split changes no bit of the result.
+
+// linkSum returns Σ g·v over the in-grid neighbours of node k = (i, j).
+func (lv *mgLevel) linkSum(i, j, k int) float64 {
+	var s float64
+	if i > 0 {
+		s += lv.gx * lv.v[k-1]
+	}
+	if i < lv.nx-1 {
+		s += lv.gx * lv.v[k+1]
+	}
+	if j > 0 {
+		s += lv.gy * lv.v[k-lv.nx]
+	}
+	if j < lv.ny-1 {
+		s += lv.gy * lv.v[k+lv.nx]
+	}
+	return s
+}
+
 // rbSweep runs one half-sweep of plain Gauss-Seidel (ω=1 — a smoother wants
 // to kill high-frequency error, over-relaxation only helps the low
 // frequencies the coarse grids already handle) over the given color. A node
-// of one color reads only the opposite color, so any row partition produces
-// the same iterate; rows are sharded with parallelRange.
+// of one color reads only the opposite color, so any row partition and any
+// visiting order within a row produce the same iterate.
 func rbSweep(lv *mgLevel, color, workers int) {
-	nx, gx, gy := lv.nx, lv.gx, lv.gy
-	v, rhs, isPad, spring := lv.v, lv.rhs, lv.isPad, lv.spring
-	parallelRange(lv.ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := (color + j) % 2; i < nx; i += 2 {
-				k := j*nx + i
-				if isPad[k] {
-					continue
-				}
-				sumG := spring[k]
-				var sumGV float64
-				if i > 0 {
-					sumG += gx
-					sumGV += gx * v[k-1]
-				}
-				if i < nx-1 {
-					sumG += gx
-					sumGV += gx * v[k+1]
-				}
-				if j > 0 {
-					sumG += gy
-					sumGV += gy * v[k-nx]
-				}
-				if j < lv.ny-1 {
-					sumG += gy
-					sumGV += gy * v[k+nx]
-				}
-				v[k] = (sumGV + rhs[k]) / sumG
-			}
-		}
-	})
+	if workers <= 1 {
+		rbSweepRows(lv, color, 0, lv.ny)
+		return
+	}
+	parallelRange(lv.ny, workers, func(jlo, jhi int) { rbSweepRows(lv, color, jlo, jhi) })
 }
 
-// computeResidual fills lv.res with rhs - A·v (zero at pads), row-sharded.
-func computeResidual(lv *mgLevel, workers int) {
+func rbSweepRows(lv *mgLevel, color, jlo, jhi int) {
 	nx, gx, gy := lv.nx, lv.gx, lv.gy
-	v, rhs, res, isPad, spring := lv.v, lv.rhs, lv.res, lv.isPad, lv.spring
-	parallelRange(lv.ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := 0; i < nx; i++ {
-				k := j*nx + i
-				if isPad[k] {
-					res[k] = 0
-					continue
-				}
-				sumG := spring[k]
-				var sumGV float64
-				if i > 0 {
-					sumG += gx
-					sumGV += gx * v[k-1]
-				}
-				if i < nx-1 {
-					sumG += gx
-					sumGV += gx * v[k+1]
-				}
-				if j > 0 {
-					sumG += gy
-					sumGV += gy * v[k-nx]
-				}
-				if j < lv.ny-1 {
-					sumG += gy
-					sumGV += gy * v[k+nx]
-				}
-				res[k] = rhs[k] + sumGV - sumG*v[k]
+	v, rhs, isPad, diag := lv.v, lv.rhs, lv.isPad, lv.diag
+	relax := func(i, j int) {
+		if k := j*nx + i; !isPad[k] {
+			v[k] = (lv.linkSum(i, j, k) + rhs[k]) / diag[k]
+		}
+	}
+	for j := jlo; j < jhi; j++ {
+		first := (color + j) % 2
+		if j == 0 || j == lv.ny-1 {
+			for i := first; i < nx; i += 2 {
+				relax(i, j)
+			}
+			continue
+		}
+		lo := first
+		if first == 0 {
+			relax(0, j)
+			lo = 2
+		}
+		for k := j*nx + lo; k < (j+1)*nx-1; k += 2 {
+			if !isPad[k] {
+				v[k] = (gx*v[k-1] + gx*v[k+1] + gy*v[k-nx] + gy*v[k+nx] + rhs[k]) / diag[k]
 			}
 		}
-	})
+		if (nx-1-first)%2 == 0 {
+			relax(nx-1, j)
+		}
+	}
+}
+
+// computeResidual fills lv.res with rhs - A·v (zero at pads).
+func computeResidual(lv *mgLevel, workers int) {
+	if workers <= 1 {
+		residualRows(lv, 0, lv.ny)
+		return
+	}
+	parallelRange(lv.ny, workers, func(jlo, jhi int) { residualRows(lv, jlo, jhi) })
+}
+
+func residualRows(lv *mgLevel, jlo, jhi int) {
+	nx, gx, gy := lv.nx, lv.gx, lv.gy
+	v, rhs, res, isPad, diag := lv.v, lv.rhs, lv.res, lv.isPad, lv.diag
+	for j := jlo; j < jhi; j++ {
+		for i := 0; i < nx; i++ {
+			switch k := j*nx + i; {
+			case isPad[k]:
+				res[k] = 0
+			case i == 0 || i == nx-1 || j == 0 || j == lv.ny-1:
+				res[k] = rhs[k] + lv.linkSum(i, j, k) - diag[k]*v[k]
+			default:
+				res[k] = rhs[k] + (gx*v[k-1] + gx*v[k+1] + gy*v[k-nx] + gy*v[k+nx]) - diag[k]*v[k]
+			}
+		}
+	}
 }
 
 // restrict transfers the fine residual to the coarse right-hand side with
 // R = Pᵀ full weighting (center 1, edges 1/2, corners 1/4 — see the package
 // comment for why the weights sum to 4, not 1). Fine pad residuals are zero,
-// so pads drop out of the gather without a special case. Sharded over coarse
-// rows; each coarse node is a pure gather from the fine residual.
+// so pads drop out of the gather without a special case. Each coarse node is
+// a pure gather from the fine residual.
 func restrict(fine, coarse *mgLevel, workers int) {
-	fnx, fny := fine.nx, fine.ny
-	res, rhs := fine.res, coarse.rhs
-	parallelRange(coarse.ny, workers, func(Jlo, Jhi int) {
-		for J := Jlo; J < Jhi; J++ {
-			for I := 0; I < coarse.nx; I++ {
-				rhs[J*coarse.nx+I] = gatherFW(res, fnx, fny, I, J)
-			}
+	if workers <= 1 {
+		restrictRows(fine, coarse, 0, coarse.ny)
+		return
+	}
+	parallelRange(coarse.ny, workers, func(Jlo, Jhi int) { restrictRows(fine, coarse, Jlo, Jhi) })
+}
+
+func restrictRows(fine, coarse *mgLevel, Jlo, Jhi int) {
+	for J := Jlo; J < Jhi; J++ {
+		for I := 0; I < coarse.nx; I++ {
+			coarse.rhs[J*coarse.nx+I] = gatherFW(fine.res, fine.nx, fine.ny, I, J)
 		}
-	})
+	}
 }
 
 // prolong adds the bilinear interpolation of the coarse correction into the
@@ -291,31 +338,37 @@ func restrict(fine, coarse *mgLevel, workers int) {
 // a pull per fine node — each fine node gathers from its 1, 2 or 4 parent
 // coarse nodes and writes only itself — so row sharding is conflict-free.
 func prolong(coarse, fine *mgLevel, workers int) {
+	if workers <= 1 {
+		prolongRows(coarse, fine, 0, fine.ny)
+		return
+	}
+	parallelRange(fine.ny, workers, func(jlo, jhi int) { prolongRows(coarse, fine, jlo, jhi) })
+}
+
+func prolongRows(coarse, fine *mgLevel, jlo, jhi int) {
 	cnx := coarse.nx
 	cv, v, isPad := coarse.v, fine.v, fine.isPad
-	parallelRange(fine.ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			J := j / 2
-			for i := 0; i < fine.nx; i++ {
-				k := j*fine.nx + i
-				if isPad[k] {
-					continue
-				}
-				I := i / 2
-				ck := J*cnx + I
-				switch {
-				case i%2 == 0 && j%2 == 0:
-					v[k] += cv[ck]
-				case i%2 == 1 && j%2 == 0:
-					v[k] += 0.5 * (cv[ck] + cv[ck+1])
-				case i%2 == 0 && j%2 == 1:
-					v[k] += 0.5 * (cv[ck] + cv[ck+cnx])
-				default:
-					v[k] += 0.25 * (cv[ck] + cv[ck+1] + cv[ck+cnx] + cv[ck+cnx+1])
-				}
+	for j := jlo; j < jhi; j++ {
+		J := j / 2
+		for i := 0; i < fine.nx; i++ {
+			k := j*fine.nx + i
+			if isPad[k] {
+				continue
+			}
+			I := i / 2
+			ck := J*cnx + I
+			switch {
+			case i%2 == 0 && j%2 == 0:
+				v[k] += cv[ck]
+			case i%2 == 1 && j%2 == 0:
+				v[k] += 0.5 * (cv[ck] + cv[ck+1])
+			case i%2 == 0 && j%2 == 1:
+				v[k] += 0.5 * (cv[ck] + cv[ck+cnx])
+			default:
+				v[k] += 0.25 * (cv[ck] + cv[ck+1] + cv[ck+cnx] + cv[ck+cnx+1])
 			}
 		}
-	})
+	}
 }
 
 // vcycle runs one V-cycle rooted at level l. Pre-smoothing sweeps red then

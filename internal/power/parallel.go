@@ -28,8 +28,8 @@ import (
 const (
 	// parallelNodeThreshold is the node count at which the solvers switch
 	// to the parallel (red-black / chunked) schemes. 4096 nodes (64×64)
-	// is safely above every grid the experiments use (48×48 and smaller),
-	// so all published numbers ride the legacy paths bit-for-bit.
+	// is safely above every grid the plans and experiments use (49×49 and
+	// smaller), so all published numbers ride the sequential paths.
 	parallelNodeThreshold = 4096
 	// dotChunkSize is the fixed reduction granule of chunked dot
 	// products. It never varies with the worker count — that is what
